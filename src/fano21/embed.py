@@ -80,7 +80,10 @@ def validate_rotation(n: int, rotation: Mapping[int, Sequence]) -> RotationSyste
     The value at a vertex is either one cycle, e.g. ``[1, 5, 4, 6, 2, 3]``,
     or a list of cycles; more than one cycle is rejected, since the
     rotation at a vertex must be a single cycle on all its neighbors.
+    K_n with n < 2 has no edges and so no faces; it is rejected.
     """
+    if n < 2:
+        raise RotationError(f"K_n needs n >= 2 vertices to have edges, got n={n}")
     succ: list[tuple[int, ...]] = []
     for x in range(n):
         if x not in rotation:
@@ -394,6 +397,8 @@ def triangular_completions(rho0: Sequence[int]) -> list[RotationSystem]:
 
 def classify_triangular(rotation: RotationSystem) -> tuple[Perm, str]:
     """A witness isomorphism onto the classical toroidal rotation."""
+    if rotation.n != 7:
+        raise RotationError(f"classification is defined for K7, got K{rotation.n}")
     if not is_triangular(rotation):
         raise NotTriangular()
     classical = classical_rotation()

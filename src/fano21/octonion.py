@@ -10,6 +10,7 @@ e_i e_j = e_k and e_j e_i = -e_k; each e_i squares to -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Sequence
 
@@ -17,6 +18,7 @@ from .orient import OrientedFano, qr_orientation
 from .perms import Perm
 
 SignedBasis = tuple[int, int]  # (sign, basis index); (-1, 0) encodes -1
+Table = tuple[tuple[SignedBasis, ...], ...]
 
 
 def unit_to_point(i: int) -> int:
@@ -33,27 +35,34 @@ def point_to_unit(p: int) -> int:
 
 def basis_product(i: int, j: int, oriented: OrientedFano | None = None) -> SignedBasis:
     """Product e_i e_j of imaginary units, as (sign, index)."""
-    if oriented is None:
-        oriented = qr_orientation()
     if i == j:
         unit_to_point(i)  # range check
         return (-1, 0)
     pi, pj = unit_to_point(i), unit_to_point(j)
-    block = oriented.plane.block_through(pi, pj)
-    (pk,) = set(block) - {pi, pj}
+    if oriented is None:
+        return _default_table()[i - 1][j - 1]
+    pk = oriented.plane.third_point(pi, pj)
     sign = 1 if (pi, pj) in oriented.arcs else -1
     return (sign, point_to_unit(pk))
 
 
-def cartan_table(oriented: OrientedFano | None = None) -> tuple[tuple[SignedBasis, ...], ...]:
-    """The 7x7 table of products e_i e_j, i, j in 1..7."""
+def cartan_table(oriented: OrientedFano | None = None) -> Table:
+    """The 7x7 table of products e_i e_j, i, j in 1..7.
+
+    Without an argument this is the table of the quadratic-residue
+    orientation, built once and shared: it is a tuple of tuples, so no
+    caller can change it.
+    """
     if oriented is None:
-        oriented = qr_orientation()
+        return _default_table()
     return tuple(
         tuple(basis_product(i, j, oriented) for j in range(1, 8)) for i in range(1, 8)
     )
 
-Table = tuple[tuple[SignedBasis, ...], ...]
+
+@lru_cache(maxsize=None)
+def _default_table() -> Table:
+    return cartan_table(qr_orientation())
 
 
 @dataclass(frozen=True)

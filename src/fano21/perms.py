@@ -187,16 +187,44 @@ def generate_group(degree: int, generators: Sequence[Perm]) -> PermGroup:
 
 
 def group_from_elements(degree: int, elements: Iterable[Perm]) -> PermGroup:
-    """Wrap an element set known to be closed; closure is re-verified."""
+    """Wrap an element set S, after proving that it is a group.
+
+    Generators T are picked greedily from S: each element of S not yet
+    in <T> joins T, and <T> is grown by right multiplication with every
+    generator.  Any product outside S raises at once.  When every
+    element has been seen, S <= <T> <= S, so S = <T> is a group.  This
+    costs about |S| * |T| compositions instead of |S|^2.
+    """
     g = PermGroup(degree, tuple(elements))
     elems = set(g.elements)
     for p in g.elements:
         if p.inverse() not in elems:
             raise ValueError(f"not closed under inverse: {p.cycle_string()}")
-    for p in g.elements:
-        for q in g.elements:
-            if compose(p, q) not in elems:
-                raise ValueError("not closed under composition")
+    reached = [identity(degree)]
+    seen = set(reached)
+    gens: list[Perm] = []
+
+    def add(q: Perm) -> None:
+        if q not in elems:
+            raise ValueError("not closed under composition")
+        if q not in seen:
+            seen.add(q)
+            reached.append(q)
+
+    for s in g.elements:
+        if s in seen:
+            continue
+        gens.append(s)
+        # Old elements are closed under the old generators: apply only
+        # the new one to them, then every generator to what that adds.
+        done = len(reached)
+        for p in reached[:done]:
+            add(compose(p, s))
+        while done < len(reached):
+            p = reached[done]
+            done += 1
+            for t in gens:
+                add(compose(p, t))
     return g
 
 

@@ -8,12 +8,14 @@ equality of canonical block lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
 from .perms import Perm, PermGroup, group_from_elements
 
 Triple = tuple[int, int, int]
+ThirdTable = tuple[tuple[int, ...], ...]
 
 
 class StsError(ValueError):
@@ -60,16 +62,31 @@ class TripleSystem:
     def block_set(self) -> frozenset[Triple]:
         return frozenset(self.blocks)
 
+    @cached_property
+    def third_table(self) -> ThirdTable:
+        """The v x v third-point table: entry [x][y] is the third point of
+        the block through {x, y}, or -1 where no block covers the pair
+        (always on the diagonal).  Built on first use, kept per system."""
+        v = self.v
+        rows = [[-1] * v for _ in range(v)]
+        for (a, b, c) in reversed(self.blocks):  # the first block wins
+            rows[a][b] = rows[b][a] = c
+            rows[a][c] = rows[c][a] = b
+            rows[b][c] = rows[c][b] = a
+        return tuple(map(tuple, rows))
+
     def block_through(self, x: int, y: int) -> Triple:
         """The unique block containing the pair {x, y}."""
-        for b in self.blocks:
-            if x in b and y in b:
-                return b
-        raise PairUncovered(tuple(sorted((x, y))))  # pragma: no cover
+        z = self.third_point(x, y)
+        return tuple(sorted((x, y, z)))  # type: ignore[return-value]
 
     def third_point(self, x: int, y: int) -> int:
-        (z,) = set(self.block_through(x, y)) - {x, y}
-        return z
+        """The third point of the block containing the pair {x, y}."""
+        if 0 <= x < self.v and 0 <= y < self.v:
+            z = self.third_table[x][y]
+            if z >= 0:
+                return z
+        raise PairUncovered(tuple(sorted((x, y))))
 
     def blocks_through(self, x: int) -> list[Triple]:
         return [b for b in self.blocks if x in b]
@@ -167,36 +184,38 @@ def are_orthogonal(s1: TripleSystem, s2: TripleSystem) -> dict[str, bool]:
 
 
 def _extend(
-    s1: TripleSystem,
-    s2: TripleSystem,
+    t1: ThirdTable,
+    t2: ThirdTable,
     images: list[int],
     used: list[bool],
     out: list[Perm],
 ) -> None:
-    v = s1.v
+    v = len(t1)
     k = len(images)
     if k == v:
         out.append(Perm(tuple(images)))
         return
+    row1 = t1[k]
     for cand in range(v):
         if used[cand]:
             continue
+        row2 = t2[cand]
         ok = True
         for j in range(k):
-            t = s1.third_point(j, k)
-            t2 = s2.third_point(images[j], cand)
+            t = row1[j]
+            u = row2[images[j]]
             if t < k:
-                if images[t] != t2:
+                if images[t] != u:
                     ok = False
                     break
-            elif t2 in images[:k] or t2 == cand:
-                # t is still unassigned, so its image t2 must be free
+            elif used[u] or u == cand:
+                # t is still unassigned, so its image u must be free
                 ok = False
                 break
         if ok:
             images.append(cand)
             used[cand] = True
-            _extend(s1, s2, images, used, out)
+            _extend(t1, t2, images, used, out)
             images.pop()
             used[cand] = False
 
@@ -204,15 +223,19 @@ def _extend(
 def isomorphisms(s1: TripleSystem, s2: TripleSystem) -> list[Perm]:
     """All block-preserving bijections s1 -> s2, sorted by image tuple.
 
-    Backtracking on point images with third-point pruning; tuned for
-    v in {7, 13, 15}.
+    Backtracking on point images 0, 1, 2, ... in turn.  Each candidate
+    image of point k is checked against every assigned point j through
+    the third-point tables of both systems: the third point t of {j, k}
+    in s1 must map to the third point u of {images[j], candidate} in s2,
+    so u must equal images[t] when t is already assigned, and must be
+    still free otherwise.  Each check is two table reads.
     """
     if s1.v != s2.v:
         raise PointSetMismatch(s1.v, s2.v)
     if s1.v not in (7, 13, 15):
         raise StsError(f"isomorphism search not supported for v={s1.v}")
     out: list[Perm] = []
-    _extend(s1, s2, [], [False] * s1.v, out)
+    _extend(s1.third_table, s2.third_table, [], [False] * s1.v, out)
     return sorted(out)
 
 

@@ -162,3 +162,20 @@ def test_octonion_table(capsys):
     code, out, _ = run(capsys, "octonion-table", "--format", "json")
     assert code == 0
     assert json.loads(out)["matrix"][0][1] == 4
+
+
+def test_faces_on_empty_rotation_exits_1(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": 0, "rotation": {}}))
+    code, _, err = run(capsys, "faces", "--rotation", str(path))
+    assert code == 1
+    assert err.startswith("error: invalid rotation:") and "n=0" in err
+
+
+def test_classify_k3_exits_1(tmp_path, capsys):
+    rotation = {"n": 3, "rotation": {"0": [1, 2], "1": [2, 0], "2": [0, 1]}}
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(rotation))
+    code, _, err = run(capsys, "classify", "--rotation", str(path))
+    assert code == 1
+    assert err.startswith("error:") and "K7" in err and "K3" in err

@@ -126,3 +126,24 @@ def test_table_serializations():
     text = table_to_text()
     assert "e7" in text and "+e4" in text and "-1" in text
     assert len(text.splitlines()) == 8
+
+
+def test_default_cartan_table_is_shared_and_immutable(qr):
+    table = cartan_table()
+    assert table == cartan_table(qr)
+    assert cartan_table() is table
+    assert isinstance(table, tuple)
+    assert all(isinstance(row, tuple) for row in table)
+    assert all(isinstance(cell, tuple) for row in table for cell in row)
+    with pytest.raises(TypeError):
+        table[0] = table[1]  # type: ignore[index]
+
+
+def test_default_table_products_match_explicit_table(qr):
+    table = cartan_table(qr)
+    samples = random_octonions(200)
+    for a, b in zip(samples, samples[1:] + samples[:1]):
+        assert multiply(a, b) == multiply(a, b, table)
+    for i in range(1, 8):
+        for j in range(1, 8):
+            assert basis_product(i, j) == basis_product(i, j, qr)

@@ -136,3 +136,40 @@ def test_group_from_elements_rejects_non_groups():
 
 def test_json_serialization():
     assert TAU1.to_json() == [1, 2, 3, 4, 5, 6, 0]
+
+
+def test_group_from_elements_rejects_inverse_closed_non_groups():
+    from fano21.steiner import automorphism_group, fano_b1
+
+    aut = automorphism_group(fano_b1())
+    involution = next(p for p in aut if p.order() == 2)
+    for elements in (
+        [p for p in aut if p != involution],
+        [identity(7), perm_from_cycles("(0 1)", 7), perm_from_cycles("(1 2)", 7)],
+    ):
+        with pytest.raises(ValueError, match="not closed under composition"):
+            group_from_elements(7, elements)
+
+
+def test_group_from_elements_proof_is_linear_in_the_group(monkeypatch):
+    # Aut(b1) has order 168: an all-pairs closure check would make 168^2
+    # = 28,224 compositions.
+    import fano21.perms as perms
+    from fano21.steiner import automorphism_group, fano_b1
+
+    calls = [0]
+
+    def counting_compose(p, q):
+        calls[0] += 1
+        return compose(p, q)
+
+    monkeypatch.setattr(perms, "compose", counting_compose)
+    assert automorphism_group(fano_b1()).order == 168
+    assert 0 < calls[0] <= 2000
+
+
+def test_group_from_elements_matches_generated_groups():
+    for gens in ([LAMBDA2, TAU1], [TAU1], [], [perm_from_cycles("(0 1)", 7),
+                                             perm_from_cycles("(0 1 2 3 4 5 6)", 7)]):
+        g = generate_group(7, gens)
+        assert group_from_elements(7, reversed(g.elements)).elements == g.elements

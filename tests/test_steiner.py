@@ -204,3 +204,37 @@ def test_json_round_trip(b1):
     # reader accepts any order and canonicalizes
     shuffled = {"v": 7, "blocks": [[3, 1, 0]] + data["blocks"][:0:-1]}
     assert sts_from_json(shuffled) == b1
+
+
+def _scan_block(system, x, y):
+    (block,) = [b for b in system.blocks if x in b and y in b]
+    return block
+
+
+def test_third_point_table_agrees_with_block_scan(all_planes, sts61):
+    for system in [*all_planes, cyclic_sts13(), sts61]:
+        for x in range(system.v):
+            for y in range(system.v):
+                if x == y:
+                    continue
+                block = _scan_block(system, x, y)
+                assert system.block_through(x, y) == block
+                (z,) = set(block) - {x, y}
+                assert system.third_point(x, y) == z
+
+
+def test_third_point_rejects_bad_pairs(b1):
+    # -1 would wrap to the last row of the table if it were not range-checked
+    for x, y in [(0, 0), (3, 3), (-1, 0), (0, -1), (-7, 1), (7, 0), (0, 7), (2, 99)]:
+        with pytest.raises(PairUncovered):
+            b1.third_point(x, y)
+        with pytest.raises(PairUncovered):
+            b1.block_through(x, y)
+
+
+def test_third_point_table_leaves_value_semantics_alone():
+    fresh, touched = fano_b1(), fano_b1()
+    before = (repr(touched), hash(touched), touched.to_json())
+    assert touched.third_table[0][1] == 3
+    assert (repr(touched), hash(touched), touched.to_json()) == before
+    assert touched == fresh and hash(touched) == hash(fresh)
