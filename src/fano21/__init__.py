@@ -39,6 +39,7 @@ from .embed import (
     color_automorphism_group,
     embedding_isomorphisms,
     euler_characteristic,
+    isomorphism_flag,
     trace_faces,
     triangular_completions,
     two_coloring,

@@ -175,7 +175,7 @@ def check_triangular_completions() -> dict:
     _require(len(matches) == 1, classical_found=len(matches))
     (other,) = [r for r in completions if r.succ != classical.succ]
     swap = Perm((0, 1, 4, 5, 2, 3, 6))  # (2 4)(3 5)
-    _require(embed._is_reversing(swap, other, classical),
+    _require(embed.isomorphism_flag(swap, other, classical) == embed.REVERSING,
              witness=swap.cycle_string())
     rng = Random(7)
     for _ in range(50):
@@ -190,12 +190,8 @@ def check_triangular_completions() -> dict:
             },
         )
         witness, flag = embed.classify_triangular(relabeled)
-        ok = (
-            embed._is_preserving(witness, relabeled, classical)
-            if flag == embed.PRESERVING
-            else embed._is_reversing(witness, relabeled, classical)
-        )
-        _require(ok, relabeling=sigma.to_json())
+        _require(embed.isomorphism_flag(witness, relabeled, classical) == flag,
+                 relabeling=sigma.to_json())
     return {"completions": 2, "reversing_witness": "(2 4)(3 5)",
             "random_relabelings": 50}
 
@@ -206,7 +202,7 @@ def check_affine_preserving() -> dict:
     for a in (1, 2, 4):
         for b in range(7):
             sigma = Perm(tuple((a * x + b) % 7 for x in range(7)))
-            _require(embed._is_preserving(sigma, rot, rot),
+            _require(embed.isomorphism_flag(sigma, rot, rot) == embed.PRESERVING,
                      map=f"x -> {a}x+{b}")
             count += 1
     return {"affine_maps_checked": count}

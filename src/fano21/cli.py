@@ -203,13 +203,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_aut(args: argparse.Namespace) -> int:
     design = _design_from_args(args)
-    try:
-        if design.v == 15:
-            group = kirkman.sts_automorphism_group15(design)
-        else:
-            group = steiner.automorphism_group(design)
-    except steiner.StsError as exc:
-        raise CliError(str(exc), 1)
+    group = steiner.automorphism_group(design)
     tag = None
     if group.order == 21:
         from .perms import classify_order21

@@ -9,7 +9,6 @@ six neighbors.  Faces are the orbits of (a, b) -> (b, rho_b(a)) on the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
 from .perms import Perm, PermGroup, group_from_elements
@@ -248,45 +247,54 @@ def two_coloring(rotation: RotationSystem) -> ColoredFaceSet:
     return ColoredFaceSet(class1, class0)
 
 
-def _is_preserving(sigma: Perm, r1: RotationSystem, r2: RotationSystem) -> bool:
-    n = r1.n
-    for x in range(n):
-        for y in range(n):
-            if x != y and sigma(r1.rho(x, y)) != r2.rho(sigma(x), sigma(y)):
-                return False
-    return True
-
-
-def _is_reversing(sigma: Perm, r1: RotationSystem, r2: RotationSystem) -> bool:
-    n = r1.n
-    for x in range(n):
-        for y in range(n):
-            if x != y and sigma(r1.rho(x, y)) != r2.rho_inv(sigma(x), sigma(y)):
-                return False
-    return True
+def isomorphism_flag(sigma: Perm, r1: RotationSystem, r2: RotationSystem) -> str | None:
+    """PRESERVING if sigma(rho_x(y)) = rho'_{sigma x}(sigma y) for all
+    darts (x, y), REVERSING if rho'_{sigma x}(sigma(rho_x(y))) = sigma y
+    (sigma carries rho onto the inverse of rho'), else None.  On K2 and K3
+    every rotation is its own inverse; a map doing both is PRESERVING."""
+    if sigma.degree != r1.n or r1.n != r2.n:
+        raise RotationError(f"degrees differ: {sigma.degree}, K{r1.n}, K{r2.n}")
+    s = sigma.images
+    preserving = reversing = True
+    for x, row1 in enumerate(r1.succ):
+        row2 = r2.succ[s[x]]
+        for y, z in enumerate(row1):
+            if y != x:
+                preserving = preserving and s[z] == row2[s[y]]
+                reversing = reversing and row2[s[z]] == s[y]
+                if not (preserving or reversing):
+                    return None
+    return PRESERVING if preserving else REVERSING
 
 
 def embedding_isomorphisms(
     r1: RotationSystem, r2: RotationSystem
 ) -> list[tuple[Perm, str]]:
-    """All vertex permutations commuting with the rotations (Preserving)
-    or with the inverse rotation (Reversing), by exhaustive sweep."""
+    """All vertex maps carrying r1 onto r2 with their flags, sorted.
+
+    A map is fixed by its flag and the image (a, b) of the dart (0, 1):
+    it carries the rotation at 0 in r1 onto the rotation at a in r2,
+    walked from b forward (Preserving) or backward (Reversing).  So
+    2n(n-1) candidates get one full check each.  On K2 and K3 both walks
+    give the same map, reported once as Preserving.
+    """
     if r1.n != r2.n:
         raise RotationError(f"vertex counts differ: {r1.n} vs {r2.n}")
-    out = []
-    for images in permutations(range(r1.n)):
-        sigma = Perm(images)
-        pres = _is_preserving(sigma, r1, r2)
-        rev = _is_reversing(sigma, r1, r2)
-        if pres and rev:
-            raise AssertionError(
-                "a permutation cannot be both preserving and reversing on K_n, n >= 4"
-            )
-        if pres:
-            out.append((sigma, PRESERVING))
-        elif rev:
-            out.append((sigma, REVERSING))
-    return out
+    around0 = r1.cycle_at(0)
+    found: dict[Perm, str] = {}
+    for a in range(r1.n):
+        cycle = r2.cycle_at(a)
+        for i in range(len(cycle)):
+            forward = cycle[i:] + cycle[:i]
+            for walk in (forward, forward[:1] + forward[:0:-1]):
+                images = [a] * r1.n
+                for y, image in zip(around0, walk):
+                    images[y] = image
+                sigma = Perm(tuple(images))
+                flag = isomorphism_flag(sigma, r1, r2)
+                if flag:
+                    found.setdefault(sigma, flag)
+    return sorted(found.items())
 
 
 def embedding_automorphism_group(rotation: RotationSystem) -> PermGroup:
@@ -299,14 +307,12 @@ def color_automorphism_group(rotation: RotationSystem) -> PermGroup:
     """Embedding automorphisms fixing both color classes (as families of
     face vertex sets)."""
     coloring = two_coloring(rotation)
-    class_a = set(map(tuple, coloring.class_a_sets()))
-    class_b = set(map(tuple, coloring.class_b_sets()))
-    keep = []
-    for sigma, _flag in embedding_isomorphisms(rotation, rotation):
-        image_a = {tuple(sorted(sigma(v) for v in f)) for f in class_a}
-        image_b = {tuple(sorted(sigma(v) for v in f)) for f in class_b}
-        if image_a == class_a and image_b == class_b:
-            keep.append(sigma)
+    classes = (set(coloring.class_a_sets()), set(coloring.class_b_sets()))
+    keep = [
+        sigma
+        for sigma, _flag in embedding_isomorphisms(rotation, rotation)
+        if all({tuple(sorted(map(sigma, f))) for f in c} == c for c in classes)
+    ]
     return group_from_elements(rotation.n, keep)
 
 
@@ -396,19 +402,13 @@ def triangular_completions(rho0: Sequence[int]) -> list[RotationSystem]:
 
 
 def classify_triangular(rotation: RotationSystem) -> tuple[Perm, str]:
-    """A witness isomorphism onto the classical toroidal rotation."""
+    """The lexicographically smallest isomorphism onto the classical
+    toroidal rotation, with its flag."""
     if rotation.n != 7:
         raise RotationError(f"classification is defined for K7, got K{rotation.n}")
     if not is_triangular(rotation):
         raise NotTriangular()
-    classical = classical_rotation()
-    for images in permutations(range(7)):
-        sigma = Perm(images)
-        if _is_preserving(sigma, rotation, classical):
-            return sigma, PRESERVING
-        if _is_reversing(sigma, rotation, classical):
-            return sigma, REVERSING
-    raise AssertionError("triangular rotation of K7 with no classical witness")
+    return embedding_isomorphisms(rotation, classical_rotation())[0]
 
 
 def to_dot(rotation: RotationSystem) -> str:

@@ -19,8 +19,8 @@ from .steiner import (
     Triple,
     TripleSystem,
     are_orthogonal,
-    automorphism_group,
     canonical_block,
+    isomorphisms,
     map_sts,
     orthogonal_partition,
     validate_sts,
@@ -175,7 +175,7 @@ def oriented_automorphism_group(oriented: OrientedFano) -> PermGroup:
     """Plane automorphisms that preserve the arc set."""
     keep = [
         p
-        for p in automorphism_group(oriented.plane)
+        for p in isomorphisms(oriented.plane, oriented.plane)
         if frozenset((p(x), p(y)) for (x, y) in oriented.arcs) == oriented.arcs
     ]
     return group_from_elements(7, keep)

@@ -88,15 +88,19 @@ class TripleSystem:
                 return z
         raise PairUncovered(tuple(sorted((x, y))))
 
-    def blocks_through(self, x: int) -> list[Triple]:
-        return [b for b in self.blocks if x in b]
-
     def to_json(self) -> dict:
         return {"v": self.v, "blocks": [list(b) for b in self.blocks]}
 
 
 def validate_sts(v: int, blocks: Sequence[Iterable[int]]) -> TripleSystem:
-    """Canonicalize and validate: every pair in exactly one block."""
+    """Canonicalize and validate: v is admissible (v >= 1 and v = 1 or 3
+    mod 6), every point is a plain int, every pair in exactly one block."""
+    if v < 1 or v % 6 not in (1, 3):
+        raise StsError(f"no STS({v}) exists: v must be >= 1 and 1 or 3 (mod 6)")
+    blocks = [tuple(b) for b in blocks]
+    for x in (x for b in blocks for x in b):
+        if type(x) is not int:
+            raise StsError(f"point {x!r} is not an integer")
     canon = sorted(canonical_block(b) for b in blocks)
     if len(canon) != v * (v - 1) // 6:
         raise BadBlockCount(v, len(canon))
@@ -232,8 +236,6 @@ def isomorphisms(s1: TripleSystem, s2: TripleSystem) -> list[Perm]:
     """
     if s1.v != s2.v:
         raise PointSetMismatch(s1.v, s2.v)
-    if s1.v not in (7, 13, 15):
-        raise StsError(f"isomorphism search not supported for v={s1.v}")
     out: list[Perm] = []
     _extend(s1.third_table, s2.third_table, [], [False] * s1.v, out)
     return sorted(out)

@@ -155,6 +155,34 @@ def test_aut_builtin(capsys):
     assert data["classification"] == "Frobenius21"
 
 
+def test_aut_of_sts9(tmp_path, capsys):
+    path = tmp_path / "ag23.json"
+    blocks = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [0, 3, 6], [1, 4, 7], [2, 5, 8],
+              [0, 4, 8], [2, 4, 6], [1, 5, 6], [2, 3, 7], [0, 5, 7], [1, 3, 8]]
+    path.write_text(json.dumps({"v": 9, "blocks": blocks}))
+    code, out, _ = run(capsys, "aut", "--design", str(path))
+    assert code == 0
+    assert out.startswith("order: 432\n")
+
+
+def test_aut_of_inadmissible_order_exits_1(tmp_path, capsys):
+    path = tmp_path / "v0.json"
+    path.write_text(json.dumps({"v": 0, "blocks": []}))
+    code, _, err = run(capsys, "aut", "--design", str(path))
+    assert code == 1
+    assert err.startswith("error: invalid design:") and "STS(0)" in err
+
+
+def test_aut_of_float_point_exits_1(tmp_path, capsys):
+    path = tmp_path / "float.json"
+    blocks = [[0, 1, 3.5], [1, 2, 4], [2, 3, 5], [3, 4, 6], [0, 4, 5],
+              [1, 5, 6], [0, 2, 6]]
+    path.write_text(json.dumps({"v": 7, "blocks": blocks}))
+    code, _, err = run(capsys, "aut", "--design", str(path))
+    assert code == 1
+    assert err.startswith("error: invalid design:") and "3.5" in err
+
+
 def test_octonion_table(capsys):
     code, out, _ = run(capsys, "octonion-table")
     assert code == 0

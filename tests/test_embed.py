@@ -11,8 +11,6 @@ from fano21.embed import (
     NotSingleCycle,
     NotTriangular,
     RotationError,
-    _is_preserving,
-    _is_reversing,
     classical_rotation,
     classify_triangular,
     color_automorphism_group,
@@ -20,6 +18,7 @@ from fano21.embed import (
     embedding_isomorphisms,
     euler_characteristic,
     is_triangular,
+    isomorphism_flag,
     rotation_from_cycles,
     rotation_from_json,
     to_dot,
@@ -142,13 +141,12 @@ def test_two_coloring_classical(classical, b1, b2):
 def test_embedding_automorphisms_include_affine(classical):
     for z in range(7):
         tau = affine_perm(7, 1, z)
-        assert _is_preserving(tau, classical, classical)
+        assert isomorphism_flag(tau, classical, classical) == PRESERVING
     for c in range(1, 7):
         lam = affine_perm(7, c, 0)
-        assert _is_preserving(lam, classical, classical)
+        assert isomorphism_flag(lam, classical, classical) == PRESERVING
     swap = Perm((0, 1, 4, 5, 2, 3, 6))  # (2 4)(3 5)
-    assert not _is_preserving(swap, classical, classical)
-    assert not _is_reversing(swap, classical, classical)
+    assert isomorphism_flag(swap, classical, classical) is None
 
 
 def test_embedding_isomorphism_group_structure(classical):
@@ -192,7 +190,7 @@ def test_triangular_completions(classical):
     assert classical.succ in [r.succ for r in completions]
     (other,) = [r for r in completions if r.succ != classical.succ]
     swap = Perm((0, 1, 4, 5, 2, 3, 6))
-    assert _is_reversing(swap, other, classical)
+    assert isomorphism_flag(swap, other, classical) == REVERSING
     # the second rho_5 branch from the case analysis
     assert other.cycle_at(5) == (0, 1, 2, 6, 3, 4)
 
@@ -200,6 +198,16 @@ def test_triangular_completions(classical):
 def test_triangular_completions_rejects_bad_input():
     with pytest.raises(RotationError):
         triangular_completions((1, 2, 3, 4, 5, 5))
+
+
+def _first_by_sweep(r1, r2):
+    # oracle: the first isomorphism among all 7! maps in lexicographic order
+    from itertools import permutations
+
+    for images in permutations(range(7)):
+        flag = isomorphism_flag(sigma := Perm(images), r1, r2)
+        if flag:
+            return sigma, flag
 
 
 def test_classify_triangular(classical):
@@ -210,9 +218,16 @@ def test_classify_triangular(classical):
         images = list(range(7))
         rng.shuffle(images)
         relabeled = _relabel(classical, Perm(tuple(images)))
-        witness, flag = classify_triangular(relabeled)
-        check = _is_preserving if flag == PRESERVING else _is_reversing
-        assert check(witness, relabeled, classical)
+        assert classify_triangular(relabeled) == _first_by_sweep(relabeled, classical)
+
+
+def test_embedding_isomorphisms_on_k3():
+    # every rotation of K3 is its own inverse: each of the 6 maps is
+    # reported once, as Preserving
+    k3 = rotation_from_cycles(3, [(1, 2), (2, 0), (0, 1)])
+    maps = embedding_isomorphisms(k3, k3)
+    assert len(maps) == 6 and {flag for _p, flag in maps} == {PRESERVING}
+    assert color_automorphism_group(k3).order == 6
 
 
 def test_classify_triangular_rejects_non_triangular():
@@ -230,8 +245,7 @@ def test_all_completions_classify(classical):
         rng.shuffle(cyc)
         for r in triangular_completions(tuple(cyc)):
             witness, flag = classify_triangular(r)
-            check = _is_preserving if flag == PRESERVING else _is_reversing
-            assert check(witness, r, classical)
+            assert isomorphism_flag(witness, r, classical) == flag
 
 
 def _face_keys(walks):
@@ -247,20 +261,23 @@ def _face_keys(walks):
 
 def test_face_preserving_equals_rotation_commuting(classical):
     # a vertex permutation carries the face set onto the face set exactly
-    # when it commutes with the rotation or with its inverse
+    # when it commutes with the rotation or with its inverse; the dart
+    # search finds exactly the maps this 7! sweep finds, with their flags
     from itertools import permutations
 
     completions = triangular_completions((1, 5, 4, 6, 2, 3))
     walks1 = [f.walk for f in trace_faces(classical)]
     for r2 in completions:
         keys2 = _face_keys(f.walk for f in trace_faces(r2))
+        swept = []
         for images in permutations(range(7)):
             sigma = Perm(images)
             mapped = _face_keys(tuple(sigma(v) for v in w) for w in walks1)
-            combinatorial = _is_preserving(sigma, classical, r2) or _is_reversing(
-                sigma, classical, r2
-            )
-            assert (mapped == keys2) == combinatorial
+            flag = isomorphism_flag(sigma, classical, r2)
+            assert (mapped == keys2) == (flag is not None)
+            if flag:
+                swept.append((sigma, flag))
+        assert swept == embedding_isomorphisms(classical, r2)
 
 
 def test_rotation_json_round_trip(classical):

@@ -102,6 +102,19 @@ def test_automorphism_perms(qr):
     assert group.elements == oriented_automorphism_group(qr).elements
 
 
+def test_automorphism_perms_match_sweep(b1):
+    # oracle: filter all 7! basis permutations, for every orientation of b1
+    from itertools import permutations
+
+    from fano21.orient import all_orientations
+
+    for oriented in all_orientations(b1):
+        table = cartan_table(oriented)
+        swept = [p for images in permutations(range(7))
+                 if is_algebra_automorphism(p := Perm(images), table)]
+        assert algebra_automorphism_perms(table) == swept
+
+
 def test_non_automorphism_detected():
     # swapping two points of a block breaks at least one signed product
     assert not is_algebra_automorphism(Perm((1, 0, 2, 3, 4, 5, 6)))

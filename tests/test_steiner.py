@@ -56,6 +56,22 @@ def test_validate_sts_uncovered_pair():
         validate_sts(7, blocks)
 
 
+@pytest.mark.parametrize("v", [0, -5, 2, 5, 8, 10, 12])
+def test_validate_sts_rejects_inadmissible_order(v):
+    with pytest.raises(StsError) as exc:
+        validate_sts(v, [])
+    assert f"STS({v})" in str(exc.value)
+
+
+@pytest.mark.parametrize("point", [3.5, True, "3"])
+def test_validate_sts_rejects_non_int_point(point):
+    blocks = [list(b) for b in B1_BLOCKS]
+    blocks[2][1] = point
+    with pytest.raises(StsError) as exc:
+        validate_sts(7, blocks)
+    assert repr(point) in str(exc.value)
+
+
 def test_cyclic_sts_b1_b2():
     assert cyclic_sts(7, [(0, 1, 3)]) == fano_b1()
     assert cyclic_sts(7, [(0, 1, 5)]) == fano_b2()
@@ -95,10 +111,11 @@ def test_isomorphisms_aut_order(b1, b2):
     assert len(isomorphisms(b1, b2)) == 168  # all Fano planes isomorphic
 
 
-def test_isomorphisms_unsupported_order():
+def test_automorphism_group_of_ag23():
+    # AG(2,3) is the unique STS(9); its collineations are AGL(2,3), of
+    # order 9 * 48 = 432
     sts9 = validate_sts(9, _sts9_blocks())
-    with pytest.raises(StsError):
-        isomorphisms(sts9, sts9)
+    assert automorphism_group(sts9).order == 432
 
 
 def _sts9_blocks():
