@@ -19,7 +19,7 @@ from .perms import Perm, affine_group, classify_order21, compose, identity
 @dataclass
 class CertificateReport:
     name: str
-    status: str  # "PASS" | "FAIL"
+    status: str  # "PASS" | "FAIL" | "ERROR"
     witness: dict = field(default_factory=dict)
     seconds: float = 0.0
 
@@ -314,6 +314,9 @@ def run_check(name: str) -> CertificateReport:
     except CheckFailure as exc:
         witness = exc.payload
         status = "FAIL"
+    except Exception as exc:  # a crashing check is reported, not fatal
+        witness = {"error": type(exc).__name__, "message": str(exc)}
+        status = "ERROR"
     return CertificateReport(name, status, witness, time.perf_counter() - start)
 
 

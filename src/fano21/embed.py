@@ -9,9 +9,11 @@ six neighbors.  Faces are the orbits of (a, b) -> (b, rho_b(a)) on the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
 from .perms import Perm, PermGroup, group_from_elements
+from .steiner import exact_covers
 
 PRESERVING = "Preserving"
 REVERSING = "Reversing"
@@ -79,20 +81,20 @@ def validate_rotation(n: int, rotation: Mapping[int, Sequence]) -> RotationSyste
     The value at a vertex is either one cycle, e.g. ``[1, 5, 4, 6, 2, 3]``,
     or a list of cycles; more than one cycle is rejected, since the
     rotation at a vertex must be a single cycle on all its neighbors.
-    K_n with n < 2 has no edges and so no faces; it is rejected.
+    An n < 2 (no edges, so no faces) and a non-int n or neighbor are rejected.
     """
-    if n < 2:
-        raise RotationError(f"K_n needs n >= 2 vertices to have edges, got n={n}")
+    if type(n) is not int or n < 2:
+        raise RotationError(f"K_n needs an integer n >= 2 to have edges, got n={n!r}")
     succ: list[tuple[int, ...]] = []
     for x in range(n):
         if x not in rotation:
             raise RotationError(f"no rotation given for vertex {x}")
         value = rotation[x]
-        if value and isinstance(value[0], (list, tuple)):
-            cycles = [[int(y) for y in c] for c in value]
-        else:
-            cycles = [[int(y) for y in value]]
+        cycles = value if value and isinstance(value[0], (list, tuple)) else [value]
         flat = [y for c in cycles for y in c]
+        for y in flat:
+            if type(y) is not int:
+                raise RotationError(f"neighbor {y!r} at vertex {x} is not an integer")
         neighbors = set(range(n)) - {x}
         for y in neighbors:
             if y not in flat:
@@ -108,8 +110,10 @@ def validate_rotation(n: int, rotation: Mapping[int, Sequence]) -> RotationSyste
 
 
 def rotation_from_json(data: dict) -> RotationSystem:
-    n = int(data["n"])
-    return validate_rotation(n, {int(k): v for k, v in data["rotation"].items()})
+    rotation = data["rotation"]
+    if not isinstance(rotation, dict):
+        raise RotationError(f"rotation {rotation!r} is not an object of cycles")
+    return validate_rotation(data["n"], {int(k): v for k, v in rotation.items()})
 
 
 def rotation_from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> RotationSystem:
@@ -316,88 +320,39 @@ def color_automorphism_group(rotation: RotationSystem) -> PermGroup:
     return group_from_elements(rotation.n, keep)
 
 
-def _closes_short_cycle(succ: dict[int, int], y: int, z: int) -> bool:
-    """Would y -> z close a cycle of length < 6 in a partial successor map?"""
-    length = 1
-    cur = z
-    while True:
-        if cur == y:
-            return length < 6
-        if cur not in succ:
-            return False
-        cur = succ[cur]
-        length += 1
-
-
-def _propagate(
-    succ: list[dict[int, int]], x: int, y: int, z: int
-) -> list[tuple[int, int, int]] | None:
-    """Set rho_x(y) = z plus the consequences rho_z(x) = y, rho_y(z) = x.
-
-    Returns the assignments actually made (for undo), or None on conflict.
-    """
-    made = []
-    for (a, b, c) in ((x, y, z), (z, x, y), (y, z, x)):
-        cur = succ[a].get(b)
-        if cur is not None:
-            if cur != c:
-                return _undo(succ, made)
-            continue
-        if c in succ[a].values() or c == a or c == b:
-            return _undo(succ, made)
-        if _closes_short_cycle(succ[a], b, c):
-            return _undo(succ, made)
-        succ[a][b] = c
-        made.append((a, b, c))
-    return made
-
-
-def _undo(succ: list[dict[int, int]], made: list[tuple[int, int, int]]) -> None:
-    for (a, b, _c) in made:
-        del succ[a][b]
-    return None
-
-
-def _complete(succ: list[dict[int, int]], out: list[RotationSystem]) -> None:
-    target = None
-    for x in range(7):
-        if len(succ[x]) < 6:
-            ys = [y for y in range(7) if y != x and y not in succ[x]]
-            target = (x, min(ys))
-            break
-    if target is None:
-        cycles = {}
-        for x in range(7):
-            cyc = [min(succ[x])]
-            while len(cyc) < 6:
-                cyc.append(succ[x][cyc[-1]])
-            cycles[x] = cyc
-        out.append(validate_rotation(7, cycles))
-        return
-    x, y = target
-    for z in range(7):
-        if z == x or z == y or z in succ[x].values():
-            continue
-        made = _propagate(succ, x, y, z)
-        if made is not None:
-            _complete(succ, out)
-            _undo(succ, made)
-
-
 def triangular_completions(rho0: Sequence[int]) -> list[RotationSystem]:
     """All triangular rotations of K7 extending the given 6-cycle at
-    vertex 0, by constraint propagation of the local triangle condition."""
-    cyc = [int(y) for y in rho0]
-    if sorted(cyc) != [1, 2, 3, 4, 5, 6]:
+    vertex 0, sorted: exact covers of the 42 darts of K7 by directed
+    triangles, where (x, y, z) covers (x, y), (y, z), (z, x) and sets
+    rho_y(x) = z, rho_z(y) = x, rho_x(z) = y.  rho_0 fixes the faces
+    (y, 0, rho_0(y)), so the search covers the 24 darts they leave with
+    the directed triangles on 1..6 avoiding the 18 they take.  Covers
+    giving a rho_x that is not a single 6-cycle are skipped.
+    """
+    cyc = list(rho0)
+    if any(type(y) is not int for y in cyc) or sorted(cyc) != [1, 2, 3, 4, 5, 6]:
         raise RotationError(f"rho_0 must be a 6-cycle on 1..6, got {rho0}")
-    succ: list[dict[int, int]] = [dict() for _ in range(7)]
-    for i, y in enumerate(cyc):
-        made = _propagate(succ, 0, y, cyc[(i + 1) % 6])
-        if made is None:
-            return []
+    fixed = [_canonical_face([y, 0, z]) for y, z in zip(cyc, cyc[1:] + cyc[:1])]
+    taken = {d for f in fixed for d in f.edges()}
+    free = [d for d in permutations(range(7), 2) if d not in taken]
+    triangles = [
+        f
+        for f in map(Face, permutations(range(1, 7), 3))
+        if f.walk[0] == min(f.walk) and taken.isdisjoint(f.edges())
+    ]
     out: list[RotationSystem] = []
-    _complete(succ, out)
-    out = [r for r in out if is_triangular(r)]
+    for cover in exact_covers(free, [f.edges() for f in triangles]):
+        succ = [[-1] * 7 for _ in range(7)]
+        for face in fixed + [triangles[i] for i in cover]:
+            x, y, z = face.walk
+            succ[y][x], succ[z][y], succ[x][z] = z, x, y
+        walks = RotationSystem(7, tuple(map(tuple, succ)))  # not yet validated
+        try:
+            rotation = validate_rotation(7, {x: walks.cycle_at(x) for x in range(7)})
+        except RotationError:
+            continue
+        if is_triangular(rotation):
+            out.append(rotation)
     return sorted(out, key=lambda r: r.succ)
 
 

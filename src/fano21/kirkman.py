@@ -16,6 +16,7 @@ from .steiner import (
     Triple,
     TripleSystem,
     canonical_block,
+    exact_covers,
     fano_b1,
     fano_b2,
     isomorphisms,
@@ -141,27 +142,12 @@ def shadow_preimages(system: TripleSystem) -> dict[Triple, list[Triple]]:
 
 
 def parallel_classes(system: TripleSystem) -> list[list[Triple]]:
-    """All parallel classes (spanning sets of v/3 disjoint blocks), via
-    exact-cover search branching on the lowest uncovered point."""
+    """All parallel classes (spanning sets of v/3 disjoint blocks), sorted:
+    the exact covers of the v points by the blocks."""
     if system.v % 3 != 0:
         raise StsError(f"v={system.v} is not divisible by 3")
-    out: list[list[Triple]] = []
-
-    def extend(chosen: list[Triple], covered: set[int]) -> None:
-        if len(covered) == system.v:
-            out.append(sorted(chosen))
-            return
-        p = min(set(range(system.v)) - covered)
-        for b in system.blocks:
-            if p in b and not (set(b) & covered):
-                chosen.append(b)
-                covered.update(b)
-                extend(chosen, covered)
-                chosen.pop()
-                covered.difference_update(b)
-
-    extend([], set())
-    return sorted(out)
+    covers = exact_covers(range(system.v), system.blocks)
+    return sorted([system.blocks[i] for i in c] for c in covers)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .perms import Perm, PermGroup, group_from_elements
 
@@ -93,8 +93,10 @@ class TripleSystem:
 
 
 def validate_sts(v: int, blocks: Sequence[Iterable[int]]) -> TripleSystem:
-    """Canonicalize and validate: v is admissible (v >= 1 and v = 1 or 3
-    mod 6), every point is a plain int, every pair in exactly one block."""
+    """Canonicalize and validate: v and every point are plain ints, v is
+    admissible (>= 1 and 1 or 3 mod 6), every pair in exactly one block."""
+    if type(v) is not int:
+        raise StsError(f"v={v!r} is not an integer")
     if v < 1 or v % 6 not in (1, 3):
         raise StsError(f"no STS({v}) exists: v must be >= 1 and 1 or 3 (mod 6)")
     blocks = [tuple(b) for b in blocks]
@@ -119,7 +121,7 @@ def validate_sts(v: int, blocks: Sequence[Iterable[int]]) -> TripleSystem:
 
 
 def sts_from_json(data: dict) -> TripleSystem:
-    return validate_sts(int(data["v"]), [tuple(b) for b in data["blocks"]])
+    return validate_sts(data["v"], [tuple(b) for b in data["blocks"]])
 
 
 def cyclic_sts(v: int, base_blocks: Sequence[Iterable[int]]) -> TripleSystem:
@@ -273,35 +275,48 @@ def common_automorphism_group(s1: TripleSystem, s2: TripleSystem) -> PermGroup:
     return group_from_elements(s1.v, common)
 
 
-def _fano_complete(
-    blocks: list[Triple], covered: set[tuple[int, int]], out: list[TripleSystem]
-) -> None:
-    if len(blocks) == 7:
-        out.append(TripleSystem(7, tuple(sorted(blocks))))
-        return
-    pair = next(
-        p for p in combinations(range(7), 2) if p not in covered
-    )
-    x, y = pair
-    for z in range(7):
-        if z in pair:
-            continue
-        pxz = tuple(sorted((x, z)))
-        pyz = tuple(sorted((y, z)))
-        if pxz in covered or pyz in covered:
-            continue
-        blocks.append(canonical_block((x, y, z)))
-        covered.update([pair, pxz, pyz])
-        _fano_complete(blocks, covered, out)
-        blocks.pop()
-        covered.difference_update([pair, pxz, pyz])
+def exact_covers(
+    items: Sequence[Hashable], subsets: Iterable[Iterable[Hashable]]
+) -> list[list[int]]:
+    """Every set of subsets that partitions ``items``, each as the sorted
+    list of its subset indices, in the order the search finds them.
+
+    Knuth's Algorithm X without the dancing links: branch on the first
+    uncovered item, in the order of ``items``, and try in index order each
+    subset that holds it and is disjoint from those already chosen.
+    Subsets must be non-empty (an empty one lies on no branch) and drawn
+    from ``items``.
+    """
+    sets = [frozenset(s) for s in subsets]
+    holding: dict[Hashable, list[int]] = {x: [] for x in items}
+    for i, s in enumerate(sets):
+        for x in s:
+            holding[x].append(i)
+    out: list[list[int]] = []
+
+    def search(k: int, chosen: list[int], covered: frozenset) -> None:
+        while k < len(items) and items[k] in covered:
+            k += 1
+        if k == len(items):
+            out.append(sorted(chosen))
+            return
+        for i in holding[items[k]]:
+            if covered.isdisjoint(sets[i]):
+                search(k + 1, chosen + [i], covered | sets[i])
+
+    search(0, [], frozenset())
+    return out
 
 
 def all_fano_planes() -> list[TripleSystem]:
-    """Every labeled STS(7) on points {0..6} (there are 30), sorted."""
-    out: list[TripleSystem] = []
-    _fano_complete([], set(), out)
-    return sorted(out, key=lambda s: s.blocks)
+    """Every labeled STS(7) on points {0..6} (there are 30), sorted: the
+    exact covers of the 21 pairs by the 35 triples, each covering its 3
+    pairs."""
+    pairs = list(combinations(range(7), 2))
+    triples = list(combinations(range(7), 3))
+    covers = exact_covers(pairs, [combinations(t, 2) for t in triples])
+    planes = [TripleSystem(7, tuple(triples[i] for i in c)) for c in covers]
+    return sorted(planes, key=lambda s: s.blocks)
 
 
 def orthogonal_mates(plane: TripleSystem) -> list[TripleSystem]:

@@ -31,3 +31,15 @@ def all_planes():
 @pytest.fixture(scope="session")
 def sts61():
     return kirkman.sts15_61()
+
+
+@pytest.fixture(scope="session")
+def ag23():
+    # the affine plane AG(2,3), the unique STS(9): rows, columns and
+    # diagonals of a 3x3 grid
+    return steiner.validate_sts(9, [
+        (0, 1, 2), (3, 4, 5), (6, 7, 8),
+        (0, 3, 6), (1, 4, 7), (2, 5, 8),
+        (0, 4, 8), (2, 4, 6), (1, 5, 6),
+        (2, 3, 7), (0, 5, 7), (1, 3, 8),
+    ])

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from fano21 import certificates
 from fano21.cli import main
 
 
@@ -174,13 +177,53 @@ def test_aut_of_inadmissible_order_exits_1(tmp_path, capsys):
 
 
 def test_aut_of_float_point_exits_1(tmp_path, capsys):
-    path = tmp_path / "float.json"
-    blocks = [[0, 1, 3.5], [1, 2, 4], [2, 3, 5], [3, 4, 6], [0, 4, 5],
-              [1, 5, 6], [0, 2, 6]]
-    path.write_text(json.dumps({"v": 7, "blocks": blocks}))
-    code, _, err = run(capsys, "aut", "--design", str(path))
+    # a point or a v that is not a plain int is named, not truncated
+    good = [[0, 1, 3], [1, 2, 4], [2, 3, 5], [3, 4, 6], [0, 4, 5],
+            [1, 5, 6], [0, 2, 6]]
+    float_point = [[0, 1, 3.5]] + good[1:]
+    cases = [("7", float_point, "3.5"), ("7.9", good, "7.9"), ('"7"', good, "'7'"),
+             ("true", good, "True"), ("1e400", good, "inf")]
+    path = tmp_path / "design.json"
+    for v, blocks, named in cases:
+        path.write_text('{"v": %s, "blocks": %s}' % (v, json.dumps(blocks)))
+        code, _, err = run(capsys, "aut", "--design", str(path))
+        assert code == 1, v
+        assert err.startswith("error: invalid design:") and named in err, err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["classify", "faces"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 7.6, "rotation": {"0": [1, 2, 3, 4, 5, 6]}}',
+        '{"n": 1e400, "rotation": {"0": [1, 2, 3, 4, 5, 6]}}',
+        '{"n": 7, "rotation": {"0": [1.7, 2, 3, 4, 5, 6]}}',
+        '{"n": 7, "rotation": [[1, 2]]}',
+    ],
+)
+def test_non_int_rotation_exits_1(tmp_path, capsys, command, text):
+    path = tmp_path / "rotation.json"
+    path.write_text(text)
+    code, _, err = run(capsys, command, "--rotation", str(path))
     assert code == 1
-    assert err.startswith("error: invalid design:") and "3.5" in err
+    assert err.startswith("error: invalid rotation:") and "Traceback" not in err
+
+
+def test_crashing_certificate_reports_error(monkeypatch, capsys):
+    def crash():
+        raise ZeroDivisionError("boom")
+
+    checks = [("mate-count-8", crash)] + certificates.ALL_CHECKS[1:]
+    monkeypatch.setattr(certificates, "ALL_CHECKS", checks)
+    code, out, _ = run(capsys, "verify-all", "--format", "json")
+    assert code == 1
+    reports = json.loads(out)
+    assert len(reports) == 14
+    errors = [r for r in reports if r["status"] == "ERROR"]
+    assert [r["name"] for r in errors] == ["mate-count-8"]
+    assert errors[0]["witness"] == {"error": "ZeroDivisionError", "message": "boom"}
+    assert {r["status"] for r in reports if r not in errors} == {"PASS"}
 
 
 def test_octonion_table(capsys):

@@ -198,6 +198,8 @@ def test_triangular_completions(classical):
 def test_triangular_completions_rejects_bad_input():
     with pytest.raises(RotationError):
         triangular_completions((1, 2, 3, 4, 5, 5))
+    with pytest.raises(RotationError):
+        triangular_completions((1.9, 5, 4, 6, 2, 3))
 
 
 def _first_by_sweep(r1, r2):
@@ -237,13 +239,17 @@ def test_classify_triangular_rejects_non_triangular():
 
 
 def test_all_completions_classify(classical):
-    # every triangular extension of a sample of rho_0 cycles is
-    # isomorphic to the classical rotation
-    rng = Random(5)
-    for _ in range(10):
-        cyc = [1, 2, 3, 4, 5, 6]
-        rng.shuffle(cyc)
-        for r in triangular_completions(tuple(cyc)):
+    # each of the 120 six-cycles rho_0 on 1..6 has exactly 2 triangular
+    # extensions (the stabilizer of 0 permutes the cycles transitively),
+    # and each is isomorphic to the classical rotation
+    from itertools import permutations
+
+    for rest in permutations(range(2, 7)):
+        cyc = (1,) + rest
+        completions = triangular_completions(cyc)
+        assert len(completions) == 2
+        for r in completions:
+            assert r.cycle_at(0) == cyc
             witness, flag = classify_triangular(r)
             assert isomorphism_flag(witness, r, classical) == flag
 

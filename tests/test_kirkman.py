@@ -85,12 +85,18 @@ def test_shadow_preimages_structure(sts61, b1):
             assert INFINITY in pre[0] + pre[1]
 
 
-def test_parallel_classes(sts61):
+def test_parallel_classes(sts61, ag23):
     classes = parallel_classes(sts61)
     assert len(classes) == 7
     assert sorted(tuple(sorted(b)) for b in BASE_PARALLEL_CLASS_61) in [
         [tuple(b) for b in cls] for cls in classes
     ]
+    # AG(2,3): the four classes of parallel lines partition its 12 blocks
+    classes = parallel_classes(ag23)
+    assert len(classes) == 4
+    assert sorted(b for cls in classes for b in cls) == list(ag23.blocks)
+    for cls in classes:
+        assert sorted(x for b in cls for x in b) == list(range(9))
 
 
 def test_resolution_61(sts61):

@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fano21.perms import affine_group, affine_perm
 from fano21.steiner import (
@@ -16,6 +17,7 @@ from fano21.steiner import (
     cyclic_sts,
     cyclic_sts13,
     disjoint_mate_block,
+    exact_covers,
     fano_b1,
     fano_b2,
     isomorphisms,
@@ -111,21 +113,9 @@ def test_isomorphisms_aut_order(b1, b2):
     assert len(isomorphisms(b1, b2)) == 168  # all Fano planes isomorphic
 
 
-def test_automorphism_group_of_ag23():
-    # AG(2,3) is the unique STS(9); its collineations are AGL(2,3), of
-    # order 9 * 48 = 432
-    sts9 = validate_sts(9, _sts9_blocks())
-    assert automorphism_group(sts9).order == 432
-
-
-def _sts9_blocks():
-    # the affine plane AG(2,3): rows, columns and diagonals of a 3x3 grid
-    return [
-        (0, 1, 2), (3, 4, 5), (6, 7, 8),
-        (0, 3, 6), (1, 4, 7), (2, 5, 8),
-        (0, 4, 8), (2, 4, 6), (1, 5, 6),
-        (2, 3, 7), (0, 5, 7), (1, 3, 8),
-    ]
+def test_automorphism_group_of_ag23(ag23):
+    # the collineations of AG(2,3) are AGL(2,3), of order 9 * 48 = 432
+    assert automorphism_group(ag23).order == 432
 
 
 def test_bruteforce_oracle_agrees(b1, b2):
@@ -181,9 +171,41 @@ def test_disjoint_iff_orthogonal_for_fano(all_planes):
 
 def test_all_fano_planes(all_planes):
     assert len(all_planes) == 30
+    assert len({p.block_set() for p in all_planes}) == 30
     assert 168 * 30 == 5040
     for p in all_planes:
         assert validate_sts(7, p.blocks) == p
+
+
+def test_exact_covers_knuth_example():
+    # Knuth, "Dancing Links" (2000): items A..G, one exact cover
+    subsets = ["CEF", "ADG", "BCF", "AD", "BG", "DEG"]
+    assert exact_covers("ABCDEFG", subsets) == [[0, 3, 4]]
+
+
+def test_exact_covers_item_held_by_no_subset():
+    assert exact_covers(range(4), [{0, 1}, {2}, {0}, {1, 2}]) == []
+
+
+@st.composite
+def _cover_problems(draw):
+    n = draw(st.integers(0, 7))
+    if not n:
+        return [], []
+    subset = st.sets(st.integers(0, n - 1), min_size=1)
+    return list(range(n)), draw(st.lists(subset, max_size=10))
+
+
+@given(_cover_problems())
+def test_exact_covers_match_bruteforce(problem):
+    items, subsets = problem
+    brute = [
+        list(chosen)
+        for r in range(len(subsets) + 1)
+        for chosen in combinations(range(len(subsets)), r)
+        if sorted(x for i in chosen for x in subsets[i]) == items
+    ]
+    assert sorted(exact_covers(items, subsets)) == sorted(brute)
 
 
 def test_aut_transitive_on_mates(b1):
