@@ -8,6 +8,7 @@ six neighbors.  Faces are the orbits of (a, b) -> (b, rho_b(a)) on the
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
@@ -110,10 +111,29 @@ def validate_rotation(n: int, rotation: Mapping[int, Sequence]) -> RotationSyste
 
 
 def rotation_from_json(data: dict) -> RotationSystem:
+    """Read {"n": ..., "rotation": {"0": [...], ...}}; a wrongly shaped
+    object is rejected naming the field at fault."""
+    if not isinstance(data, dict):
+        raise RotationError(
+            f"a rotation must be a JSON object, got {type(data).__name__}"
+        )
+    for key in ("n", "rotation"):
+        if key not in data:
+            raise RotationError(f"a rotation needs the key {key!r}")
     rotation = data["rotation"]
     if not isinstance(rotation, dict):
         raise RotationError(f"rotation {rotation!r} is not an object of cycles")
-    return validate_rotation(data["n"], {int(k): v for k, v in rotation.items()})
+    by_vertex: dict[int, list] = {}
+    for key, value in rotation.items():
+        if not (isinstance(key, str) and re.fullmatch(r"\s*[+-]?\d+\s*", key)):
+            raise RotationError(f"rotation key {key!r} is not an integer vertex")
+        if not isinstance(value, list) or len({isinstance(c, list) for c in value}) > 1:
+            raise RotationError(
+                f"rotation at vertex {key} must be a list of neighbors or of cycles, "
+                f"got {value!r}"
+            )
+        by_vertex[int(key)] = value
+    return validate_rotation(data["n"], by_vertex)
 
 
 def rotation_from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> RotationSystem:

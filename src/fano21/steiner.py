@@ -121,7 +121,17 @@ def validate_sts(v: int, blocks: Sequence[Iterable[int]]) -> TripleSystem:
 
 
 def sts_from_json(data: dict) -> TripleSystem:
-    return validate_sts(data["v"], [tuple(b) for b in data["blocks"]])
+    """Read {"v": ..., "blocks": [[x, y, z], ...]}; a wrongly shaped
+    object is rejected naming the field at fault."""
+    if not isinstance(data, dict):
+        raise StsError(f"a design must be a JSON object, got {type(data).__name__}")
+    for key in ("v", "blocks"):
+        if key not in data:
+            raise StsError(f"a design needs the key {key!r}")
+    blocks = data["blocks"]
+    if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
+        raise StsError(f"'blocks' must be a list of lists of points, got {blocks!r}")
+    return validate_sts(data["v"], [tuple(b) for b in blocks])
 
 
 def cyclic_sts(v: int, base_blocks: Sequence[Iterable[int]]) -> TripleSystem:
@@ -189,57 +199,90 @@ def are_orthogonal(s1: TripleSystem, s2: TripleSystem) -> dict[str, bool]:
     return {"disjoint": disjoint, "orthogonal": orthogonal}
 
 
-def _extend(
-    t1: ThirdTable,
-    t2: ThirdTable,
-    images: list[int],
-    used: list[bool],
-    out: list[Perm],
-) -> None:
-    v = len(t1)
-    k = len(images)
-    if k == v:
-        out.append(Perm(tuple(images)))
-        return
-    row1 = t1[k]
-    for cand in range(v):
-        if used[cand]:
+def generating_order(system: TripleSystem) -> list[tuple[int, tuple[int, int] | None]]:
+    """Every point once, each as (point, pair): pair is None for a base
+    point, else the pair of earlier points whose third point it is.
+
+    Start from point 0 as a base point and append the third point of each
+    pair of points already placed, recording that pair; when nothing new
+    appears, the smallest point not yet placed becomes a new base point.
+    The base points generate the system under "third point of a pair".
+    """
+    table = system.third_table
+    placed = [False] * system.v
+    order: list[tuple[int, tuple[int, int] | None]] = []
+    for base in range(system.v):
+        if placed[base]:
             continue
-        row2 = t2[cand]
-        ok = True
-        for j in range(k):
-            t = row1[j]
-            u = row2[images[j]]
-            if t < k:
-                if images[t] != u:
-                    ok = False
-                    break
-            elif used[u] or u == cand:
-                # t is still unassigned, so its image u must be free
-                ok = False
-                break
-        if ok:
-            images.append(cand)
-            used[cand] = True
-            _extend(t1, t2, images, used, out)
-            images.pop()
-            used[cand] = False
+        placed[base] = True
+        order.append((base, None))
+        i = len(order) - 1
+        while i < len(order):
+            p = order[i][0]
+            for j in range(i):
+                q = order[j][0]
+                z = table[q][p]
+                if not placed[z]:
+                    placed[z] = True
+                    order.append((z, (q, p)))
+            i += 1
+    return order
 
 
 def isomorphisms(s1: TripleSystem, s2: TripleSystem) -> list[Perm]:
     """All block-preserving bijections s1 -> s2, sorted by image tuple.
 
-    Backtracking on point images 0, 1, 2, ... in turn.  Each candidate
-    image of point k is checked against every assigned point j through
-    the third-point tables of both systems: the third point t of {j, k}
-    in s1 must map to the third point u of {images[j], candidate} in s2,
-    so u must equal images[t] when t is already assigned, and must be
-    still free otherwise.  Each check is two table reads.
+    Backtracking over the points of s1 in its :func:`generating_order`.
+    A base point tries every free image; a derived point, the third point
+    of an earlier pair {a, b}, has the one candidate image, the third point
+    of {images[a], images[b]} in s2.  Each candidate image of a point x is
+    checked against every point y placed before it through the third-point
+    tables of both systems: the third point t of {x, y} in s1 must map to
+    the third point u of {candidate, images[y]} in s2, so u must equal
+    images[t] when t is already placed, and must be still free otherwise.
+    Each check is two table reads.
     """
     if s1.v != s2.v:
         raise PointSetMismatch(s1.v, s2.v)
+    t1, t2 = s1.third_table, s2.third_table
+    v = s1.v
+    order = generating_order(s1)
+    earlier = [[p for p, _ in order[:k]] for k in range(v)]
+    images = [-1] * v
+    used = [False] * v
     out: list[Perm] = []
-    _extend(s1.third_table, s2.third_table, [], [False] * s1.v, out)
+
+    def place(k: int) -> None:
+        if k == v:
+            out.append(Perm(tuple(images)))
+            return
+        x, pair = order[k]
+        if pair is None:
+            candidates: Iterable[int] = range(v)
+        else:
+            candidates = (t2[images[pair[0]]][images[pair[1]]],)
+        row1 = t1[x]
+        for cand in candidates:
+            if used[cand]:
+                continue
+            row2 = t2[cand]
+            for y in earlier[k]:
+                u = row2[images[y]]
+                w = images[row1[y]]  # the image of t, or -1
+                if w >= 0:
+                    if w != u:
+                        break
+                elif used[u] or u == cand:
+                    # t is still unplaced, so its image u must be free
+                    break
+            else:
+                images[x] = cand
+                used[cand] = True
+                place(k + 1)
+                images[x] = -1
+                used[cand] = False
+
+    place(0)
     return sorted(out)
 
 

@@ -192,6 +192,23 @@ def test_aut_of_float_point_exits_1(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_wrongly_shaped_json_names_the_field(tmp_path, capsys):
+    cases = [
+        ("aut", "--design", '{"v": 7, "blocks": 5}', "'blocks'"),
+        ("aut", "--design", "[1, 2]", "JSON object"),
+        ("aut", "--design", '{"v": 7}', "'blocks'"),
+        ("faces", "--rotation", '{"n": 7, "rotation": {"0": 5}}', "vertex 0"),
+        ("faces", "--rotation", '{"n": 7, "rotation": {"x": [1, 2]}}', "key 'x'"),
+    ]
+    path = tmp_path / "input.json"
+    for command, flag, text, named in cases:
+        path.write_text(text)
+        code, _, err = run(capsys, command, flag, str(path))
+        assert code == 1, text
+        assert err.startswith("error:") and named in err, err
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["classify", "faces"])
 @pytest.mark.parametrize(
     "text",

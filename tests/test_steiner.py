@@ -3,7 +3,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from fano21.perms import affine_group, affine_perm
+from fano21.kirkman import sts15_61
+from fano21.perms import Perm, affine_group, affine_perm
 from fano21.steiner import (
     BadBlockCount,
     PairCoveredTwice,
@@ -20,6 +21,7 @@ from fano21.steiner import (
     exact_covers,
     fano_b1,
     fano_b2,
+    generating_order,
     isomorphisms,
     isomorphisms_bruteforce,
     map_sts,
@@ -121,6 +123,57 @@ def test_automorphism_group_of_ag23(ag23):
 def test_bruteforce_oracle_agrees(b1, b2):
     assert isomorphisms(b1, b2) == isomorphisms_bruteforce(b1, b2)
     assert isomorphisms(b1, b1) == isomorphisms_bruteforce(b1, b1)
+
+
+@given(st.permutations(range(7)), st.permutations(range(7)))
+def test_isomorphisms_match_oracle_on_relabellings(b1, sigma, tau):
+    s1, s2 = map_sts(Perm(tuple(sigma)), b1), map_sts(Perm(tuple(tau)), b1)
+    assert isomorphisms(s1, s2) == isomorphisms_bruteforce(s1, s2)
+
+
+@pytest.mark.parametrize(
+    "make, count", [(cyclic_sts13, 39), (sts15_61, 21)], ids=["sts13", "sts61"]
+)
+@given(data=st.data())
+def test_isomorphisms_onto_relabelling(make, count, data):
+    system = make()
+    sigma = data.draw(st.permutations(range(system.v)))
+    target = map_sts(Perm(tuple(sigma)), system)
+    maps = isomorphisms(system, target)
+    assert len(maps) == count
+    for p in maps:
+        image = {tuple(sorted(map(p, b))) for b in system.blocks}
+        assert image == target.block_set()
+
+
+def test_generating_order(ag23):
+    # base-point counts: 1 and 2 for STS(1) and STS(3); any larger STS needs
+    # at least 3, since two points generate only their block
+    systems = [
+        (validate_sts(1, []), {1}),
+        (validate_sts(3, [(0, 1, 2)]), {2}),
+        (fano_b1(), {3}),
+        (ag23, {3}),
+        (cyclic_sts13(), {3}),
+        (sts15_61(), {3, 4}),
+    ]
+    for system, base_counts in systems:
+        order = generating_order(system)
+        points = [x for x, _ in order]
+        assert sorted(points) == list(range(system.v))
+        bases = [x for x, pair in order if pair is None]
+        assert bases[0] == 0 and len(bases) in base_counts, system.v
+        for k, (x, pair) in enumerate(order):
+            if pair is not None:
+                a, b = pair
+                assert {a, b} <= set(points[:k])
+                assert system.third_point(a, b) == x
+
+
+def test_isomorphisms_of_small_systems():
+    sts1, sts3 = validate_sts(1, []), validate_sts(3, [(0, 1, 2)])
+    assert isomorphisms(sts1, sts1) == [Perm((0,))]
+    assert len(isomorphisms(sts3, sts3)) == 6
 
 
 def test_common_automorphism_group(b1, b2):
