@@ -82,10 +82,14 @@ def validate_rotation(n: int, rotation: Mapping[int, Sequence]) -> RotationSyste
     The value at a vertex is either one cycle, e.g. ``[1, 5, 4, 6, 2, 3]``,
     or a list of cycles; more than one cycle is rejected, since the
     rotation at a vertex must be a single cycle on all its neighbors.
-    An n < 2 (no edges, so no faces) and a non-int n or neighbor are rejected.
+    An n < 2 (no edges, so no faces), a non-int n or neighbor, and a key
+    that is not a vertex 0..n-1 are rejected.
     """
     if type(n) is not int or n < 2:
         raise RotationError(f"K_n needs an integer n >= 2 to have edges, got n={n!r}")
+    for key in rotation:
+        if type(key) is not int or not 0 <= key < n:
+            raise RotationError(f"rotation key {key!r} is not a vertex 0..{n - 1}")
     succ: list[tuple[int, ...]] = []
     for x in range(n):
         if x not in rotation:
@@ -124,6 +128,7 @@ def rotation_from_json(data: dict) -> RotationSystem:
     if not isinstance(rotation, dict):
         raise RotationError(f"rotation {rotation!r} is not an object of cycles")
     by_vertex: dict[int, list] = {}
+    by_key: dict[int, str] = {}
     for key, value in rotation.items():
         if not (isinstance(key, str) and re.fullmatch(r"\s*[+-]?\d+\s*", key)):
             raise RotationError(f"rotation key {key!r} is not an integer vertex")
@@ -132,7 +137,11 @@ def rotation_from_json(data: dict) -> RotationSystem:
                 f"rotation at vertex {key} must be a list of neighbors or of cycles, "
                 f"got {value!r}"
             )
-        by_vertex[int(key)] = value
+        x = int(key)
+        if x in by_vertex:
+            raise RotationError(f"rotation keys {by_key[x]!r} and {key!r} name one vertex")
+        by_vertex[x] = value
+        by_key[x] = key
     return validate_rotation(data["n"], by_vertex)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -47,7 +48,7 @@ class Perm:
         inv = [0] * self.degree
         for x, y in enumerate(self.images):
             inv[y] = x
-        return Perm(tuple(inv))
+        return _unchecked(tuple(inv))
 
     def order(self) -> int:
         k, p = 1, self
@@ -85,6 +86,20 @@ class Perm:
         return list(self.images)
 
 
+# bound once: per product, looking them up on ``object`` costs about as
+# much as the composition itself
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
+def _unchecked(images: tuple[int, ...]) -> Perm:
+    """A Perm built without the bijection check, for images that are a
+    bijection by construction (a product or an inverse of valid Perms)."""
+    p = _new_object(Perm)
+    _set_field(p, "images", images)
+    return p
+
+
 def identity(n: int) -> Perm:
     return Perm(tuple(range(n)))
 
@@ -93,7 +108,8 @@ def compose(p: Perm, q: Perm) -> Perm:
     """p after q: the result maps x to p(q(x))."""
     if p.degree != q.degree:
         raise DegreeMismatch(f"degrees {p.degree} and {q.degree} differ")
-    return Perm(tuple(p.images[y] for y in q.images))
+    images = p.images
+    return _unchecked(tuple([images[y] for y in q.images]))
 
 
 def perm_from_cycles(cycle_str: str, degree: int) -> Perm:
@@ -134,12 +150,20 @@ class PermGroup:
     elements: tuple[Perm, ...]
 
     def __post_init__(self) -> None:
-        elems = set(self.elements)
-        if any(p.degree != self.degree for p in elems):
+        # keyed by image tuple: its hash and comparisons run in C
+        by_images = {p.images: p for p in self.elements}
+        if any(len(images) != self.degree for images in by_images):
             raise DegreeMismatch("mixed degrees in group")
-        if identity(self.degree) not in elems:
+        if tuple(range(self.degree)) not in by_images:
             raise ValueError("group does not contain the identity")
-        object.__setattr__(self, "elements", tuple(sorted(elems)))
+        object.__setattr__(
+            self, "elements", tuple(by_images[k] for k in sorted(by_images))
+        )
+
+    @cached_property
+    def element_set(self) -> frozenset[Perm]:
+        """The elements as a frozenset.  Built on first use, kept per group."""
+        return frozenset(self.elements)
 
     @property
     def order(self) -> int:
@@ -149,7 +173,7 @@ class PermGroup:
         return iter(self.elements)
 
     def __contains__(self, p: Perm) -> bool:
-        return p in set(self.elements)
+        return p in self.element_set
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -162,8 +186,7 @@ class PermGroup:
         return True
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        bigger = set(other.elements)
-        return all(p in bigger for p in self.elements)
+        return self.element_set <= other.element_set
 
 
 def generate_group(degree: int, generators: Sequence[Perm]) -> PermGroup:
@@ -193,26 +216,29 @@ def group_from_elements(degree: int, elements: Iterable[Perm]) -> PermGroup:
     in <T> joins T, and <T> is grown by right multiplication with every
     generator.  Any product outside S raises at once.  When every
     element has been seen, S <= <T> <= S, so S = <T> is a group.  This
-    costs about |S| * |T| compositions instead of |S|^2.
+    costs about |S| * |T| compositions instead of |S|^2.  Membership in
+    S and in <T> is tested on image tuples, whose hash and equality run
+    in C, rather than on the Perm objects.
     """
     g = PermGroup(degree, tuple(elements))
-    elems = set(g.elements)
+    elems = {p.images for p in g.elements}
     for p in g.elements:
-        if p.inverse() not in elems:
+        if p.inverse().images not in elems:
             raise ValueError(f"not closed under inverse: {p.cycle_string()}")
     reached = [identity(degree)]
-    seen = set(reached)
+    seen = {reached[0].images}
     gens: list[Perm] = []
 
     def add(q: Perm) -> None:
-        if q not in elems:
+        images = q.images
+        if images not in elems:
             raise ValueError("not closed under composition")
-        if q not in seen:
-            seen.add(q)
+        if images not in seen:
+            seen.add(images)
             reached.append(q)
 
     for s in g.elements:
-        if s in seen:
+        if s.images in seen:
             continue
         gens.append(s)
         # Old elements are closed under the old generators: apply only

@@ -287,17 +287,25 @@ def isomorphisms(s1: TripleSystem, s2: TripleSystem) -> list[Perm]:
 
 
 def isomorphisms_bruteforce(s1: TripleSystem, s2: TripleSystem) -> list[Perm]:
-    """Oracle: sweep all v! permutations (v=7 only) and filter."""
+    """Oracle: sweep all v! permutations (v=7 only) and keep those that
+    carry every block of s1 onto a block of s2.
+
+    A plain sweep that shares no code with :func:`isomorphisms`.  Point x
+    is encoded as the bit 2**x, so a permutation is a tuple of bits and a
+    block's image is the OR of its three image bits, looked up among the
+    bitmasks of the blocks of s2.
+    """
     if s1.v != 7 or s2.v != 7:
         raise StsError("brute-force sweep is only tuned for v=7")
-    target = s2.block_set()
+    target = {(1 << a) | (1 << b) | (1 << c) for (a, b, c) in s2.blocks}
+    blocks = s1.blocks
     out = []
-    for images in permutations(range(7)):
-        if all(
-            tuple(sorted((images[a], images[b], images[c]))) in target
-            for (a, b, c) in s1.blocks
-        ):
-            out.append(Perm(images))
+    for bits in permutations((1, 2, 4, 8, 16, 32, 64)):
+        for a, b, c in blocks:
+            if bits[a] | bits[b] | bits[c] not in target:
+                break
+        else:
+            out.append(Perm(tuple(x.bit_length() - 1 for x in bits)))
     return sorted(out)
 
 

@@ -7,6 +7,7 @@ theorems.
 
 import pytest
 
+from fano21 import steiner
 from fano21.certificates import ALL_CHECKS, run_check
 
 CHECK_NAMES = [name for name, _func in ALL_CHECKS]
@@ -22,3 +23,18 @@ def test_certificate(name, capsys):
     with capsys.disabled():
         print(f"{report.status} {name} [{report.seconds:.3f}s]")
     assert report.status == "PASS", report.witness
+
+
+@pytest.mark.parametrize("name", ["oracle-agreement", "fano-aut-168"])
+def test_certificate_fails_when_a_map_is_dropped(name, monkeypatch):
+    search = steiner.isomorphisms
+    monkeypatch.setattr(steiner, "isomorphisms", lambda s1, s2: search(s1, s2)[1:])
+    report = run_check(name)
+    assert report.status == "FAIL"
+    if name == "oracle-agreement":
+        # the first query is (b1, b1)
+        b1 = steiner.fano_b1().to_json()
+        assert report.witness == {"s1": b1, "s2": b1, "fast": 167, "slow": 168}
+    else:
+        first = steiner.all_fano_planes()[0].to_json()
+        assert report.witness == {"plane": first, "order": 167}

@@ -6,6 +6,14 @@ from fano21 import certificates
 from fano21.cli import main
 
 
+CLASSICAL_CYCLES = {
+    "0": [1, 5, 4, 6, 2, 3], "1": [2, 6, 5, 0, 3, 4],
+    "2": [3, 0, 6, 1, 4, 5], "3": [4, 1, 0, 2, 5, 6],
+    "4": [5, 2, 1, 3, 6, 0], "5": [6, 3, 2, 4, 0, 1],
+    "6": [0, 4, 3, 5, 1, 2],
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -123,13 +131,8 @@ def test_classify_builtin_and_file(tmp_path, capsys):
     assert code == 0
     assert "witness: () (Preserving)" in out
 
-    rotation = {"n": 7, "rotation": {
-        "0": [1, 5, 4, 6, 2, 3], "1": [2, 6, 5, 0, 3, 4],
-        "2": [3, 0, 6, 1, 4, 5], "3": [4, 1, 0, 2, 5, 6],
-        "4": [5, 2, 1, 3, 6, 0], "5": [6, 3, 2, 4, 0, 1],
-        "6": [0, 4, 3, 5, 1, 2]}}
     path = tmp_path / "rotation.json"
-    path.write_text(json.dumps(rotation))
+    path.write_text(json.dumps({"n": 7, "rotation": CLASSICAL_CYCLES}))
     code, out, _ = run(capsys, "classify", "--rotation", str(path),
                        "--format", "json")
     assert code == 0
@@ -200,6 +203,15 @@ def test_wrongly_shaped_json_names_the_field(tmp_path, capsys):
         ("faces", "--rotation", '{"n": 7, "rotation": {"0": 5}}', "vertex 0"),
         ("faces", "--rotation", '{"n": 7, "rotation": {"x": [1, 2]}}', "key 'x'"),
     ]
+    # the classical rotation plus a key that is no vertex, or that names
+    # vertex 3 a second time (here with the same cycle)
+    for extra, named in [
+        ({"9": [1]}, "key 9"),
+        ({"-1": []}, "key -1"),
+        ({" 3": CLASSICAL_CYCLES["3"]}, "keys '3' and ' 3'"),
+    ]:
+        text = json.dumps({"n": 7, "rotation": {**CLASSICAL_CYCLES, **extra}})
+        cases.append(("classify", "--rotation", text, named))
     path = tmp_path / "input.json"
     for command, flag, text, named in cases:
         path.write_text(text)

@@ -1,7 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fano21 import embed, orient, steiner
 from fano21.perms import (
     DegreeMismatch,
     NotAPermutation,
@@ -173,3 +175,58 @@ def test_group_from_elements_matches_generated_groups():
                                              perm_from_cycles("(0 1 2 3 4 5 6)", 7)]):
         g = generate_group(7, gens)
         assert group_from_elements(7, reversed(g.elements)).elements == g.elements
+
+
+@st.composite
+def _element_sets(draw):
+    """(degree, elements): a generated group, or a random set that
+    contains the identity, on at most 5 points."""
+    n = draw(st.integers(1, 5))
+    perm = st.permutations(range(n)).map(lambda images: Perm(tuple(images)))
+    picked = draw(st.lists(perm, max_size=4))
+    if draw(st.booleans()):
+        return n, list(generate_group(n, picked))
+    return n, [identity(n)] + picked
+
+
+@settings(deadline=None)
+@given(_element_sets())
+def test_group_from_elements_matches_all_pairs_closure(case):
+    n, elements = case
+    distinct = set(elements)
+    if all(compose(p, q) in distinct for p in distinct for q in distinct):
+        assert group_from_elements(n, elements).elements == tuple(sorted(distinct))
+    else:
+        with pytest.raises(ValueError):
+            group_from_elements(n, elements)
+
+
+def _assert_group_axioms(group):
+    ident = identity(group.degree)
+    assert ident in group
+    for p in group:
+        assert p.inverse() in group and compose(p, p.inverse()) == ident
+        for q in group:
+            assert compose(p, q) in group
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.permutations(range(7)))
+def test_returned_groups_satisfy_the_axioms(images):
+    sigma = Perm(tuple(images))
+    plane = steiner.map_sts(sigma, steiner.fano_b1())
+    classical = embed.classical_rotation()
+    rotation = embed.validate_rotation(
+        7, {sigma(x): [sigma(y) for y in classical.cycle_at(x)] for x in range(7)}
+    )
+    qr = orient.qr_orientation()
+    oriented = orient.validate_orientation(
+        steiner.map_sts(sigma, qr.plane), {(sigma(x), sigma(y)) for x, y in qr.arcs}
+    )
+    for group, order in [
+        (steiner.automorphism_group(plane), 168),
+        (embed.color_automorphism_group(rotation), 21),
+        (orient.oriented_automorphism_group(oriented), 21),
+    ]:
+        assert group.order == order
+        _assert_group_axioms(group)

@@ -125,6 +125,18 @@ def test_bruteforce_oracle_agrees(b1, b2):
     assert isomorphisms(b1, b1) == isomorphisms_bruteforce(b1, b1)
 
 
+def test_bruteforce_oracle_onto_every_plane(b1, all_planes):
+    # each of the 7! permutations carries b1 onto exactly one labelled plane
+    found = set()
+    for q in all_planes:
+        maps = isomorphisms_bruteforce(b1, q)
+        assert len(maps) == 168
+        for p in maps:
+            assert sorted(tuple(sorted(map(p, b))) for b in b1.blocks) == list(q.blocks)
+        found.update(maps)
+    assert len(found) == 5040
+
+
 @given(st.permutations(range(7)), st.permutations(range(7)))
 def test_isomorphisms_match_oracle_on_relabellings(b1, sigma, tau):
     s1, s2 = map_sts(Perm(tuple(sigma)), b1), map_sts(Perm(tuple(tau)), b1)
@@ -270,7 +282,9 @@ def test_aut_transitive_on_mates(b1):
 
 
 def test_common_aut_is_subgroup_of_aut(b1, b2):
-    assert common_automorphism_group(b1, b2).is_subgroup_of(automorphism_group(b1))
+    common, full = common_automorphism_group(b1, b2), automorphism_group(b1)
+    assert common.is_subgroup_of(full)
+    assert not full.is_subgroup_of(common)
 
 
 def test_orthogonal_partition(b1, b2):
