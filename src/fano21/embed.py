@@ -251,26 +251,19 @@ def two_coloring(rotation: RotationSystem) -> ColoredFaceSet:
             by_edge.setdefault(frozenset((a, b)), []).append(i)
     color = {0: 0}
     queue = [0]
-    seen_edges = set()
     while queue:
         i = queue.pop()
         for (a, b) in faces[i].edges():
-            key = frozenset((a, b))
-            for j in by_edge[key]:
-                if j == i and by_edge[key].count(i) == 1:
-                    continue
-                if j == i:
-                    raise NotTwoColorable()  # face meets itself along an edge
-                if j in color:
-                    if color[j] == color[i]:
-                        raise NotTwoColorable()
-                else:
+            for j in by_edge[frozenset((a, b))]:
+                if j not in color:
                     color[j] = 1 - color[i]
                     queue.append(j)
     if len(color) != len(faces):
         raise AssertionError("face-adjacency graph of K_n must be connected")
     class0 = tuple(f for i, f in enumerate(faces) if color[i] == 0)
     class1 = tuple(f for i, f in enumerate(faces) if color[i] == 1)
+    # an edge bounded twice in one class: a face meets itself along it,
+    # or two faces of one color share it
     for cls in (class0, class1):
         bounded = [frozenset(e) for f in cls for e in f.edges()]
         if len(set(bounded)) != len(bounded):

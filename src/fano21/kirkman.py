@@ -15,11 +15,13 @@ from .steiner import (
     StsError,
     Triple,
     TripleSystem,
+    automorphism_group,
     canonical_block,
+    closure,
+    common_automorphism_group,
     exact_covers,
     fano_b1,
     fano_b2,
-    isomorphisms,
     validate_sts,
 )
 
@@ -96,19 +98,20 @@ def sts15_61() -> TripleSystem:
 
 
 def fano_subplanes(system: TripleSystem) -> list[tuple[tuple[int, ...], TripleSystem]]:
-    """All 7-point subsets whose induced blocks form a Fano plane."""
-    if system.v != 15:
-        raise StsError(f"subplane search is defined for v=15, got v={system.v}")
-    block_sets = [frozenset(b) for b in system.blocks]
+    """All 7-point subsystems (Fano subplanes), sorted by point set, each
+    with its blocks relabelled onto 0..6 in point order: the closures of
+    the 3-subsets that have 7 points."""
+    subsets = {
+        tuple(sorted(p for p, _ in closure(system, seeds)))
+        for seeds in combinations(range(system.v), 3)
+    }
     out = []
-    for pts in combinations(range(15), 7):
-        pset = frozenset(pts)
-        induced = [b for b, bs in zip(system.blocks, block_sets) if bs <= pset]
-        if len(induced) != 7:
-            continue
+    for pts in sorted(s for s in subsets if len(s) == 7):
         relabel = {p: i for i, p in enumerate(pts)}
-        inner = validate_sts(7, [tuple(sorted(relabel[x] for x in b)) for b in induced])
-        out.append((pts, inner))
+        blocks = [
+            [relabel[x] for x in b] for b in system.blocks if set(b) <= relabel.keys()
+        ]
+        out.append((pts, validate_sts(7, blocks)))
     return out
 
 
@@ -122,9 +125,8 @@ def outside_shadow(system: TripleSystem) -> dict[Triple, Triple]:
     for (x, y, z) in combinations(OUTSIDE, 3):
         abc = []
         for pair in ((x, y), (x, z), (y, z)):
-            block = system.block_through(*pair)
-            (a,) = set(block) - set(pair)
-            if a not in set(FINITE):
+            a = system.third_point(*pair)
+            if a not in FINITE:
                 raise StsError(f"pair {pair} lies in a block inside the outside points")
             abc.append(a)
         if len(set(abc)) != 3:
@@ -195,18 +197,15 @@ def resolution_61() -> Resolution:
 
 
 def sts_automorphism_group15(system: TripleSystem) -> PermGroup:
-    """Generic degree-15 backtracking automorphism search (no structural
-    shortcuts assumed)."""
+    """The automorphism group of an STS(15), by the generic search."""
     if system.v != 15:
         raise StsError(f"expected v=15, got v={system.v}")
-    return group_from_elements(15, isomorphisms(system, system))
+    return automorphism_group(system)
 
 
 def structured_automorphism_group61(system: TripleSystem) -> PermGroup:
     """Oracle for #61-shaped systems: fix inf, extend each common
     automorphism of the two inner Fano planes by sigma(n') = sigma(n)'."""
-    from .steiner import common_automorphism_group
-
     blocks = system.block_set()
     elems = []
     for small in common_automorphism_group(fano_b1(), fano_b2()):

@@ -106,10 +106,10 @@ def identity(n: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """p after q: the result maps x to p(q(x))."""
-    if p.degree != q.degree:
-        raise DegreeMismatch(f"degrees {p.degree} and {q.degree} differ")
-    images = p.images
-    return _unchecked(tuple([images[y] for y in q.images]))
+    images, inner = p.images, q.images
+    if len(images) != len(inner):
+        raise DegreeMismatch(f"degrees {len(images)} and {len(inner)} differ")
+    return _unchecked(tuple([images[y] for y in inner]))
 
 
 def perm_from_cycles(cycle_str: str, degree: int) -> Perm:
@@ -189,68 +189,62 @@ class PermGroup:
         return self.element_set <= other.element_set
 
 
+def _closure(degree: int, candidates: Iterable[Perm]) -> Iterator[Perm]:
+    """Yield each element of the group the candidates generate once, the
+    first time it is reached, starting with the identity.
+
+    Generators T are picked greedily: each candidate not yet in <T> joins
+    T, and <T> is grown by right multiplication with every generator.
+    This costs |<T>| * |T| compositions.  Reached elements are kept by
+    image tuple, whose hash and equality run in C.
+    """
+    reached = [identity(degree)]
+    seen = {reached[0].images}
+    yield reached[0]
+    gens: list[Perm] = []
+    for s in candidates:
+        if s.images in seen:
+            continue
+        gens.append(s)
+        # Old elements are closed under the old generators: apply only
+        # the new one to them, then every generator to what that adds.
+        old = len(reached)
+        k = 0
+        while k < len(reached):
+            p = reached[k]
+            for t in (s,) if k < old else gens:
+                q = compose(p, t)
+                if q.images not in seen:
+                    seen.add(q.images)
+                    reached.append(q)
+                    yield q
+            k += 1
+
+
 def generate_group(degree: int, generators: Sequence[Perm]) -> PermGroup:
-    """Closure of the generators under composition (breadth-first)."""
+    """Closure of the generators under composition."""
     for g in generators:
         if g.degree != degree:
             raise DegreeMismatch(f"generator degree {g.degree}, expected {degree}")
-    elems = {identity(degree)}
-    frontier = [identity(degree)]
-    gens = list(generators)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = compose(g, p)
-                if q not in elems:
-                    elems.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return PermGroup(degree, tuple(elems))
+    return PermGroup(degree, tuple(_closure(degree, generators)))
 
 
 def group_from_elements(degree: int, elements: Iterable[Perm]) -> PermGroup:
     """Wrap an element set S, after proving that it is a group.
 
-    Generators T are picked greedily from S: each element of S not yet
-    in <T> joins T, and <T> is grown by right multiplication with every
-    generator.  Any product outside S raises at once.  When every
-    element has been seen, S <= <T> <= S, so S = <T> is a group.  This
-    costs about |S| * |T| compositions instead of |S|^2.  Membership in
-    S and in <T> is tested on image tuples, whose hash and equality run
-    in C, rather than on the Perm objects.
+    S must be closed under inverses, and the closure of S must stay in
+    S: any element it reaches outside S raises at once.  Then S <= <S>
+    <= S, so S = <S> is a group, proved in about |S| * |T| compositions
+    for the greedy generators T of the closure instead of |S|^2.
     """
     g = PermGroup(degree, tuple(elements))
     elems = {p.images for p in g.elements}
     for p in g.elements:
         if p.inverse().images not in elems:
             raise ValueError(f"not closed under inverse: {p.cycle_string()}")
-    reached = [identity(degree)]
-    seen = {reached[0].images}
-    gens: list[Perm] = []
-
-    def add(q: Perm) -> None:
-        images = q.images
-        if images not in elems:
+    for p in _closure(degree, g.elements):
+        if p.images not in elems:
             raise ValueError("not closed under composition")
-        if images not in seen:
-            seen.add(images)
-            reached.append(q)
-
-    for s in g.elements:
-        if s.images in seen:
-            continue
-        gens.append(s)
-        # Old elements are closed under the old generators: apply only
-        # the new one to them, then every generator to what that adds.
-        done = len(reached)
-        for p in reached[:done]:
-            add(compose(p, s))
-        while done < len(reached):
-            p = reached[done]
-            done += 1
-            for t in gens:
-                add(compose(p, t))
     return g
 
 

@@ -199,19 +199,23 @@ def are_orthogonal(s1: TripleSystem, s2: TripleSystem) -> dict[str, bool]:
     return {"disjoint": disjoint, "orthogonal": orthogonal}
 
 
-def generating_order(system: TripleSystem) -> list[tuple[int, tuple[int, int] | None]]:
-    """Every point once, each as (point, pair): pair is None for a base
+def closure(
+    system: TripleSystem, seeds: Iterable[int]
+) -> list[tuple[int, tuple[int, int] | None]]:
+    """The points generated by the seeds under "third point of a pair",
+    each once as (point, pair): pair is None for a seed taken as a base
     point, else the pair of earlier points whose third point it is.
 
-    Start from point 0 as a base point and append the third point of each
-    pair of points already placed, recording that pair; when nothing new
-    appears, the smallest point not yet placed becomes a new base point.
-    The base points generate the system under "third point of a pair".
+    Each seed not yet placed becomes a base point, and the third point of
+    each pair of points already placed is appended, recording that pair,
+    until nothing new appears.  The points form a subsystem, and every
+    subsystem holding the seeds holds them (Colbourn & Rosa, *Triple
+    Systems*).
     """
     table = system.third_table
     placed = [False] * system.v
     order: list[tuple[int, tuple[int, int] | None]] = []
-    for base in range(system.v):
+    for base in seeds:
         if placed[base]:
             continue
         placed[base] = True
@@ -232,7 +236,7 @@ def generating_order(system: TripleSystem) -> list[tuple[int, tuple[int, int] | 
 def isomorphisms(s1: TripleSystem, s2: TripleSystem) -> list[Perm]:
     """All block-preserving bijections s1 -> s2, sorted by image tuple.
 
-    Backtracking over the points of s1 in its :func:`generating_order`.
+    Backtracking over the points of s1 in their :func:`closure` order.
     A base point tries every free image; a derived point, the third point
     of an earlier pair {a, b}, has the one candidate image, the third point
     of {images[a], images[b]} in s2.  Each candidate image of a point x is
@@ -246,7 +250,7 @@ def isomorphisms(s1: TripleSystem, s2: TripleSystem) -> list[Perm]:
         raise PointSetMismatch(s1.v, s2.v)
     t1, t2 = s1.third_table, s2.third_table
     v = s1.v
-    order = generating_order(s1)
+    order = closure(s1, range(v))
     earlier = [[p for p, _ in order[:k]] for k in range(v)]
     images = [-1] * v
     used = [False] * v

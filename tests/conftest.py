@@ -43,3 +43,13 @@ def ag23():
         (0, 4, 8), (2, 4, 6), (1, 5, 6),
         (2, 3, 7), (0, 5, 7), (1, 3, 8),
     ])
+
+
+@pytest.fixture(scope="session")
+def pg32():
+    # the projective space PG(3,2): the nonzero vectors of GF(2)^4, point
+    # x - 1 for vector x, with the lines {a, b, a + b}
+    return steiner.validate_sts(15, sorted({
+        tuple(sorted((a - 1, b - 1, (a ^ b) - 1)))
+        for a in range(1, 16) for b in range(1, 16) if a != b
+    }))

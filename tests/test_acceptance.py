@@ -7,7 +7,7 @@ theorems.
 
 import pytest
 
-from fano21 import steiner
+from fano21 import kirkman, steiner
 from fano21.certificates import ALL_CHECKS, run_check
 
 CHECK_NAMES = [name for name, _func in ALL_CHECKS]
@@ -38,3 +38,10 @@ def test_certificate_fails_when_a_map_is_dropped(name, monkeypatch):
     else:
         first = steiner.all_fano_planes()[0].to_json()
         assert report.witness == {"plane": first, "order": 167}
+
+
+def test_certificate_fails_without_a_subplane(monkeypatch):
+    monkeypatch.setattr(kirkman, "fano_subplanes", lambda system: [])
+    report = run_check("sts15-61")
+    assert report.status == "FAIL"
+    assert report.witness == {"subplane_count": 0}

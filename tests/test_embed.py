@@ -10,6 +10,7 @@ from fano21.embed import (
     MissingNeighbor,
     NotSingleCycle,
     NotTriangular,
+    NotTwoColorable,
     RotationError,
     classical_rotation,
     classify_triangular,
@@ -136,6 +137,31 @@ def test_two_coloring_classical(classical, b1, b2):
     assert coloring.class_a_sets() == list(b1.blocks)
     assert coloring.class_b_sets() == list(b2.blocks)
     assert len(coloring.class_a) == len(coloring.class_b) == 7
+
+
+def test_two_coloring_small_cases():
+    # K2: its one face runs along the edge in both directions
+    with pytest.raises(NotTwoColorable):
+        two_coloring(rotation_from_cycles(2, [[1], [0]]))
+    # K3: the two triangles, one on each side of every edge
+    coloring = two_coloring(rotation_from_cycles(3, [[1, 2], [0, 2], [0, 1]]))
+    assert [f.walk for f in coloring.class_a] == [(0, 1, 2)]
+    assert [f.walk for f in coloring.class_b] == [(0, 2, 1)]
+
+
+@pytest.mark.parametrize("cycles, walks", [
+    # planar K4: four triangles, any two sharing an edge (an odd cycle)
+    ([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]],
+     [(0, 1, 3), (0, 2, 1), (0, 3, 2), (1, 2, 3)]),
+    # toroidal K4: the octagon meets itself along edges 0-2 and 1-3
+    ([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]],
+     [(0, 1, 2, 3), (0, 2, 1, 3, 2, 0, 3, 1)]),
+])
+def test_two_coloring_rejects_k4(cycles, walks):
+    rotation = rotation_from_cycles(4, cycles)
+    assert [f.walk for f in trace_faces(rotation)] == walks
+    with pytest.raises(NotTwoColorable, match="odd cycle"):
+        two_coloring(rotation)
 
 
 def test_embedding_automorphisms_include_affine(classical):

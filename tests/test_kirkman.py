@@ -1,9 +1,18 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fano21.perms import Perm, generate_group
-from fano21.steiner import StsError, fano_b1, fano_b2, common_automorphism_group
+from fano21.steiner import (
+    StsError,
+    common_automorphism_group,
+    cyclic_sts13,
+    fano_b1,
+    fano_b2,
+    map_sts,
+    validate_sts,
+)
 from fano21.kirkman import (
     BASE_PARALLEL_CLASS_61,
     FINITE,
@@ -55,6 +64,39 @@ def test_unique_fano_subplane(sts61, b1):
     points, inner = planes[0]
     assert points == FINITE
     assert inner == b1
+
+
+def fano_subplanes_by_sweep(system):
+    """Oracle: every 7-subset of the points whose induced blocks are 7,
+    which then cover its 21 pairs and form a Fano plane."""
+    out = []
+    for pts in combinations(range(system.v), 7):
+        relabel = {p: i for i, p in enumerate(pts)}
+        induced = [b for b in system.blocks if set(b) <= set(pts)]
+        if len(induced) == 7:
+            inner = validate_sts(7, [[relabel[x] for x in b] for b in induced])
+            out.append((pts, inner))
+    return out
+
+
+def test_fano_subplanes_match_sweep(sts61, pg32):
+    assert fano_subplanes(sts61) == fano_subplanes_by_sweep(sts61)
+    planes = fano_subplanes(pg32)
+    assert len(planes) == 15  # the planes of PG(3,2)
+    assert planes == fano_subplanes_by_sweep(pg32)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.booleans(), st.permutations(range(15)))
+def test_fano_subplanes_match_sweep_on_relabellings(sts61, pg32, on_pg32, images):
+    system = map_sts(Perm(tuple(images)), pg32 if on_pg32 else sts61)
+    assert fano_subplanes(system) == fano_subplanes_by_sweep(system)
+
+
+def test_fano_subplanes_of_other_systems(ag23, b1):
+    assert fano_subplanes(cyclic_sts13()) == []
+    assert fano_subplanes(ag23) == []
+    assert fano_subplanes(b1) == [(tuple(range(7)), b1)]
 
 
 def test_outside_shadow_of_primed_triples(sts61):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from fano21.orient import oriented_automorphism_group
 from fano21.perms import Perm, group_from_elements
@@ -86,6 +87,18 @@ def test_norm_multiplicative_on_samples():
     samples = random_octonions(60, seed=23)
     for a, b in zip(samples[::2], samples[1::2]):
         assert norm(multiply(a, b)) == norm(a) * norm(b)
+
+
+_octonions = st.lists(st.integers(-9, 9), min_size=8, max_size=8).map(octonion)
+
+
+@given(_octonions, _octonions, _octonions)
+def test_moufang_identities_and_norm(x, y, z):
+    m = multiply  # with the default table
+    assert m(z, m(x, m(z, y))) == m(m(m(z, x), z), y)
+    assert m(x, m(z, m(y, z))) == m(m(m(x, z), y), z)
+    assert m(m(z, x), m(y, z)) == m(m(z, m(x, y)), z)
+    assert norm(m(x, y)) == norm(x) * norm(y)
 
 
 def test_conjugate_norm():

@@ -189,6 +189,16 @@ def _element_sets(draw):
     return n, [identity(n)] + picked
 
 
+def _all_pairs_closure(elements):
+    """Add every product of two elements until nothing new appears."""
+    closed = set(elements)
+    while True:
+        products = {compose(p, q) for p in closed for q in closed}
+        if products <= closed:
+            return closed
+        closed |= products
+
+
 @settings(deadline=None)
 @given(_element_sets())
 def test_group_from_elements_matches_all_pairs_closure(case):
@@ -199,6 +209,8 @@ def test_group_from_elements_matches_all_pairs_closure(case):
     else:
         with pytest.raises(ValueError):
             group_from_elements(n, elements)
+    generated = generate_group(n, elements).elements
+    assert generated == tuple(sorted(_all_pairs_closure(distinct)))
 
 
 def _assert_group_axioms(group):

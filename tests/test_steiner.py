@@ -14,6 +14,7 @@ from fano21.steiner import (
     all_fano_planes,
     are_orthogonal,
     automorphism_group,
+    closure,
     common_automorphism_group,
     cyclic_sts,
     cyclic_sts13,
@@ -21,7 +22,6 @@ from fano21.steiner import (
     exact_covers,
     fano_b1,
     fano_b2,
-    generating_order,
     isomorphisms,
     isomorphisms_bruteforce,
     map_sts,
@@ -170,7 +170,7 @@ def test_generating_order(ag23):
         (sts15_61(), {3, 4}),
     ]
     for system, base_counts in systems:
-        order = generating_order(system)
+        order = closure(system, range(system.v))
         points = [x for x, _ in order]
         assert sorted(points) == list(range(system.v))
         bases = [x for x, pair in order if pair is None]
@@ -180,6 +180,27 @@ def test_generating_order(ag23):
                 a, b = pair
                 assert {a, b} <= set(points[:k])
                 assert system.third_point(a, b) == x
+
+
+@pytest.mark.parametrize(
+    "make", [fano_b1, cyclic_sts13, sts15_61], ids=["b1", "sts13", "sts61"]
+)
+@given(data=st.data())
+def test_closure_holds_seeds_and_is_closed(make, data):
+    system = make()
+    seeds = data.draw(st.lists(st.integers(0, system.v - 1), max_size=4))
+    order = closure(system, seeds)
+    points = [x for x, _ in order]
+    assert len(set(points)) == len(points)
+    assert set(seeds) <= set(points)
+    for a, b in combinations(points, 2):
+        assert system.third_point(a, b) in points
+    for k, (x, pair) in enumerate(order):
+        if pair is None:
+            assert x in seeds
+        else:
+            assert set(pair) <= set(points[:k])
+            assert system.third_point(*pair) == x
 
 
 def test_isomorphisms_of_small_systems():
