@@ -9,6 +9,7 @@ terminal and is suppressed by the NO_COLOR environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -237,6 +238,7 @@ def cmd_octonion_table(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built on first use; parsing leaves it unchanged, so calls share it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fano21",

@@ -143,18 +143,13 @@ def is_algebra_automorphism(sigma: Perm, table: Table | None = None) -> bool:
     if table is None:
         table = cartan_table()
 
-    def image(i: int) -> int:
-        return point_to_unit(sigma(unit_to_point(i)))
-
+    # image[i] is the unit index of e_i's image; image[0] = 0 is the real unit
+    image = (0,) + tuple(point_to_unit(sigma(unit_to_point(i))) for i in range(1, 8))
     for i in range(1, 8):
+        row, image_row = table[i - 1], table[image[i] - 1]
         for j in range(1, 8):
-            sign, k = table[i - 1][j - 1]
-            si, sj = image(i), image(j)
-            sign2, k2 = table[si - 1][sj - 1]
-            if k == 0:
-                if (sign2, k2) != (sign, 0):
-                    return False
-            elif (sign2, k2) != (sign, image(k)):
+            sign, k = row[j - 1]
+            if image_row[image[j] - 1] != (sign, image[k]):
                 return False
     return True
 

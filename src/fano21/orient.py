@@ -10,7 +10,7 @@ bijection onto the 8 orthogonal mates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .perms import Perm, PermGroup, group_from_elements
@@ -20,6 +20,7 @@ from .steiner import (
     TripleSystem,
     are_orthogonal,
     canonical_block,
+    exact_covers,
     isomorphisms,
     map_sts,
     orthogonal_partition,
@@ -88,10 +89,15 @@ class OrientedFano:
 
 
 def validate_orientation(plane: TripleSystem, arcs: Iterable[Arc]) -> OrientedFano:
-    """Check the tournament, block-cyclicity and out-closure axioms."""
+    """Check that every arc point is a plain int in 0..6, then the
+    tournament, block-cyclicity and out-closure axioms."""
     if plane.v != 7:
         raise StsError(f"orientations are defined for v=7, got v={plane.v}")
-    arc_set = frozenset((int(x), int(y)) for (x, y) in arcs)
+    arc_list = [(x, y) for (x, y) in arcs]
+    for x in (x for arc in arc_list for x in arc):
+        if type(x) is not int or not 0 <= x <= 6:
+            raise OrientationError(f"arc point {x!r} is not an integer in 0..6")
+    arc_set = frozenset(arc_list)
     for x in range(7):
         for y in range(x + 1, 7):
             if ((x, y) in arc_set) == ((y, x) in arc_set):
@@ -148,18 +154,19 @@ def orientation_from_mate(f: TripleSystem, s: TripleSystem) -> OrientedFano:
 
 
 def all_orientations(plane: TripleSystem) -> list[OrientedFano]:
-    """All 8 orientations, by filtering the 128 block-cyclic sign vectors."""
+    """All 8 orientations, sorted by arcs: the exact covers of the 7
+    points and 21 pairs by the choices (x, B) of a block B not through x
+    as the out-neighbors of x, each covering x and {x, y} for y in B.
+    Each cover is block-cyclic: B meets each block through x in one point."""
     if plane.v != 7:
         raise StsError(f"orientations are defined for v=7, got v={plane.v}")
-    found = []
-    for signs in product((False, True), repeat=7):
-        arcs = []
-        for (a, b, c), flip in zip(plane.blocks, signs):
-            arcs.extend([(a, c), (c, b), (b, a)] if flip else [(a, b), (b, c), (c, a)])
-        try:
-            found.append(validate_orientation(plane, arcs))
-        except OrientationError:
-            continue
+    choices = [(x, b) for x in range(7) for b in plane.blocks if x not in b]
+    items = list(range(7)) + list(combinations(range(7), 2))
+    subsets = [[x] + [(min(x, y), max(x, y)) for y in b] for x, b in choices]
+    found = [
+        validate_orientation(plane, [(choices[i][0], y) for i in c for y in choices[i][1]])
+        for c in exact_covers(items, subsets)
+    ]
     return sorted(found, key=lambda o: o.sorted_arcs())
 
 
@@ -208,16 +215,20 @@ def canonical_circuit(seq: Sequence[int]) -> tuple[int, ...]:
 
 
 def validate_circuit(plane: TripleSystem, seq: Sequence[int]) -> FanoCircuit:
-    """Check the covering property: one consecutive pair per block."""
+    """Check that the points are 7 distinct ints in 0..6 and the covering
+    property: one consecutive pair per block."""
     if plane.v != 7:
         raise StsError(f"Fano circuits are defined for v=7, got v={plane.v}")
-    seq = tuple(int(x) for x in seq)
+    seq = tuple(seq)
+    for x in seq:
+        if type(x) is not int or not 0 <= x <= 6:
+            raise CircuitError(f"point {x!r} is not an integer in 0..6")
     if len(seq) != 7 or set(seq) != set(range(7)):
         raise RepeatedPoint(seq)
-    pairs = [frozenset((seq[i], seq[(i + 1) % 7])) for i in range(7)]
+    third = plane.third_table
+    steps = [tuple(sorted((x, y, third[x][y]))) for x, y in zip(seq, seq[1:] + seq[:1])]
     for block in plane.blocks:
-        hits = [p for p in pairs if p <= set(block)]
-        if len(hits) != 1:
+        if steps.count(block) != 1:
             raise BlockNotCovered(block)
     return FanoCircuit(canonical_circuit(seq))
 
@@ -273,18 +284,20 @@ def circuits_of_orientation(oriented: OrientedFano) -> list[FanoCircuit]:
 
 
 def all_circuits(plane: TripleSystem) -> list[FanoCircuit]:
-    """All Fano circuits up to rotation and reversal (there are 24)."""
+    """All Fano circuits up to rotation and reversal (there are 24): the
+    exact covers of the items i (block i is used), 7 + x (x has a
+    successor) and 14 + y (y has a predecessor) by the 42 darts (x, y).
+    Each cover is one 7-cycle, as shorter cycles would use a block twice.
+    The count does not use the orientations."""
     if plane.v != 7:
         raise StsError(f"Fano circuits are defined for v=7, got v={plane.v}")
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for rest in permutations(range(1, 7)):
-        seq = (0,) + rest
-        try:
-            circuit = validate_circuit(plane, seq)
-        except CircuitError:
-            continue
-        if circuit.seq not in seen:
-            seen.add(circuit.seq)
-            out.append(circuit)
-    return sorted(out, key=lambda c: c.seq)
+    darts = [(x, y, i) for i, b in enumerate(plane.blocks) for x in b for y in b if x != y]
+    found: dict[tuple[int, ...], FanoCircuit] = {}
+    for cover in exact_covers(range(21), [(i, 7 + x, 14 + y) for x, y, i in darts]):
+        succ = dict(darts[d][:2] for d in cover)
+        seq = [0]
+        while len(seq) < 7:
+            seq.append(succ[seq[-1]])
+        circuit = validate_circuit(plane, seq)
+        found[circuit.seq] = circuit
+    return [found[seq] for seq in sorted(found)]

@@ -7,8 +7,9 @@ theorems.
 
 import pytest
 
-from fano21 import kirkman, steiner
+from fano21 import kirkman, octonion, orient, steiner
 from fano21.certificates import ALL_CHECKS, run_check
+from fano21.perms import identity
 
 CHECK_NAMES = [name for name, _func in ALL_CHECKS]
 
@@ -45,3 +46,31 @@ def test_certificate_fails_without_a_subplane(monkeypatch):
     report = run_check("sts15-61")
     assert report.status == "FAIL"
     assert report.witness == {"subplane_count": 0}
+
+
+def test_certificate_fails_when_an_orientation_is_dropped(monkeypatch):
+    search = orient.all_orientations
+    monkeypatch.setattr(orient, "all_orientations", lambda plane: search(plane)[1:])
+    report = run_check("orientation-bijection-8")
+    assert report.status == "FAIL"
+    assert report.witness == {"count": 7}
+
+
+def test_certificate_fails_when_a_circuit_is_dropped(monkeypatch):
+    search = orient.all_circuits
+    monkeypatch.setattr(orient, "all_circuits", lambda plane: search(plane)[1:])
+    report = run_check("fano-circuits-24")
+    assert report.status == "FAIL"
+    assert report.witness == {"count": 23}
+
+
+def test_certificate_fails_when_an_automorphism_is_rejected(monkeypatch):
+    check = octonion.is_algebra_automorphism
+    monkeypatch.setattr(
+        octonion,
+        "is_algebra_automorphism",
+        lambda sigma, table=None: sigma != identity(7) and check(sigma, table),
+    )
+    report = run_check("octonion-f21")
+    assert report.status == "FAIL"
+    assert report.witness == {"automorphisms": 20}

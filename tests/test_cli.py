@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fano21
 from fano21 import certificates
-from fano21.cli import main
+from fano21.cli import build_parser, main
 
 
 CLASSICAL_CYCLES = {
@@ -279,3 +284,29 @@ def test_classify_k3_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "classify", "--rotation", str(path))
     assert code == 1
     assert err.startswith("error:") and "K7" in err and "K3" in err
+
+
+def test_successive_calls_match_fresh_processes(monkeypatch, capsys):
+    # the parser is built once per process and shared by every call
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(Path(fano21.__file__).parents[1]))
+    calls = [
+        ["enumerate", "bogus"],
+        ["enumerate", "circuits", "--builtin", "b1"],
+        ["--help"],
+        ["aut", "--builtin", "nope"],
+        ["enumerate", "circuits", "--builtin", "b1"],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on bad arguments and --help
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from fano21.cli import main; sys.exit(main())",
+             *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert build_parser() is build_parser()

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fano21.orient import oriented_automorphism_group
 from fano21.perms import Perm, group_from_elements
@@ -126,6 +126,41 @@ def test_automorphism_perms_match_sweep(b1):
         swept = [p for images in permutations(range(7))
                  if is_algebra_automorphism(p := Perm(images), table)]
         assert algebra_automorphism_perms(table) == swept
+
+
+def _maps_products(sigma, table):
+    """Oracle for ``is_algebra_automorphism`` from the definition: the
+    linear map phi(e_i) = e_{sigma(i)} satisfies phi(e_i e_j) = phi(e_i) phi(e_j)."""
+    images = [0] + [point_to_unit(sigma(unit_to_point(i))) for i in range(1, 8)]
+
+    def phi(x):
+        coeffs = [0] * 8
+        for i, c in enumerate(x.coeffs):
+            coeffs[images[i]] += c
+        return octonion(coeffs)
+
+    return all(
+        phi(multiply(unit(i), unit(j), table)) == multiply(unit(images[i]), unit(images[j]), table)
+        for i in range(1, 8)
+        for j in range(1, 8)
+    )
+
+
+def test_is_algebra_automorphism_matches_definition_on_collineations(b1):
+    from fano21.orient import all_orientations
+    from fano21.steiner import isomorphisms
+
+    tables = [cartan_table()] + [cartan_table(o) for o in all_orientations(b1)]
+    for table in tables:
+        for sigma in isomorphisms(b1, b1):
+            assert is_algebra_automorphism(sigma, table) == _maps_products(sigma, table)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.permutations(range(7)))
+def test_is_algebra_automorphism_matches_definition(images):
+    sigma = Perm(tuple(images))
+    assert is_algebra_automorphism(sigma) == _maps_products(sigma, cartan_table())
 
 
 def test_non_automorphism_detected():

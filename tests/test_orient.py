@@ -1,8 +1,11 @@
-from itertools import product
+import json
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fano21.perms import affine_perm, identity
+from fano21.cli import main
+from fano21.perms import Perm, affine_perm, identity
 from fano21.steiner import (
     common_automorphism_group,
     isomorphisms,
@@ -36,6 +39,34 @@ from fano21.orient import (
 QR_ARCS = [(x, (x + d) % 7) for x in range(7) for d in (1, 2, 4)]
 
 
+def all_orientations_by_sweep(plane):
+    """Oracle for ``all_orientations``: the 128 choices of a 3-cycle
+    direction per block, filtered by ``validate_orientation``."""
+    found = []
+    for signs in product((False, True), repeat=7):
+        arcs = []
+        for (a, b, c), flip in zip(plane.blocks, signs):
+            arcs += [(a, c), (c, b), (b, a)] if flip else [(a, b), (b, c), (c, a)]
+        try:
+            found.append(validate_orientation(plane, arcs))
+        except OrientationError:
+            continue
+    return sorted(found, key=lambda o: o.sorted_arcs())
+
+
+def all_circuits_by_sweep(plane):
+    """Oracle for ``all_circuits``: the 720 sequences starting at 0,
+    filtered by ``validate_circuit`` and deduplicated."""
+    found = {}
+    for rest in permutations(range(1, 7)):
+        try:
+            circuit = validate_circuit(plane, (0,) + rest)
+        except CircuitError:
+            continue
+        found[circuit.seq] = circuit
+    return [found[seq] for seq in sorted(found)]
+
+
 def test_validate_orientation_qr(b1):
     o = validate_orientation(b1, QR_ARCS)
     assert o.out_neighbors(0) == (1, 2, 4)
@@ -66,17 +97,7 @@ def test_validate_orientation_not_tournament(b1):
 
 def test_block_cyclic_assignments_with_out_closure(b1):
     # of the 128 per-block 3-cycle choices, exactly 8 are orientations
-    good = 0
-    for signs in product((False, True), repeat=7):
-        arcs = []
-        for (a, b, c), flip in zip(b1.blocks, signs):
-            arcs += [(a, c), (c, b), (b, a)] if flip else [(a, b), (b, c), (c, a)]
-        try:
-            validate_orientation(b1, arcs)
-            good += 1
-        except OrientationError:
-            pass
-    assert good == 8
+    assert len(all_orientations_by_sweep(b1)) == 8
 
 
 def test_qr_orientation_matches_example(qr):
@@ -258,3 +279,82 @@ def test_orientation_json_round_trip(b1, qr):
     data = qr.to_json()
     assert data["points"] == 7 and len(data["arcs"]) == 21
     assert orientation_from_json(b1, data).arcs == qr.arcs
+
+
+def test_enumerations_match_sweeps_on_all_planes(all_planes):
+    for plane in all_planes:
+        assert all_orientations(plane) == all_orientations_by_sweep(plane)
+        assert all_circuits(plane) == all_circuits_by_sweep(plane)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.permutations(range(7)))
+def test_enumerations_match_sweeps_on_relabellings(b1, images):
+    plane = map_sts(Perm(tuple(images)), b1)
+    assert all_orientations(plane) == all_orientations_by_sweep(plane)
+    assert all_circuits(plane) == all_circuits_by_sweep(plane)
+
+
+# Each orientation as the out-neighbors of 0..6, in output order.
+PINNED_ORIENTATIONS = {
+    "b1": [
+        "124 235 346 045 156 026 013",
+        "124 346 156 026 235 013 045",
+        "156 235 045 026 013 346 124",
+        "156 346 013 045 026 124 235",
+        "235 026 346 156 013 124 045",
+        "235 045 156 124 026 346 013",
+        "346 026 045 124 156 013 235",
+        "346 045 013 156 235 026 124",
+    ],
+    "b2": [
+        "126 245 356 015 023 046 134",
+        "126 356 134 046 015 023 245",
+        "134 245 046 126 356 023 015",
+        "134 356 015 245 126 046 023",
+        "245 023 356 046 126 134 015",
+        "245 046 134 015 356 126 023",
+        "356 023 046 245 015 126 134",
+        "356 046 015 126 023 134 245",
+    ],
+}
+PINNED_CIRCUITS = {
+    "b1": "0123456 0126534 0143265 0145632 0153624 0154236 0162435 0163542 "
+          "0213564 0216453 0231465 0246135 0254163 0256314 0321546 0326415 "
+          "0341625 0345216 0351264 0362514 0425136 0431256 0513246 0524316",
+    "b2": "0123456 0125643 0132654 0135462 0145326 0146253 0164352 0165234 "
+          "0213645 0215436 0243516 0246135 0251634 0263154 0312465 0315624 "
+          "0342156 0351426 0362514 0364125 0416325 0423165 0532416 0541236",
+}
+
+
+@pytest.mark.parametrize("builtin", ["b1", "b2"])
+def test_enumerate_output_is_pinned(builtin, capsys):
+    orientations = [
+        {"points": 7, "arcs": [[x, int(y)] for x, outs in enumerate(o.split()) for y in outs]}
+        for o in PINNED_ORIENTATIONS[builtin]
+    ]
+    circuits = [[int(x) for x in c] for c in PINNED_CIRCUITS[builtin].split()]
+    for kind, items in (("orientations", orientations), ("circuits", circuits)):
+        code = main(["enumerate", kind, "--builtin", builtin, "--format", "json"])
+        assert code == 0
+        assert capsys.readouterr().out == json.dumps(items, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, "1", -1, 7])
+def test_validate_orientation_rejects_bad_points(b1, bad):
+    arcs = [(bad, 1) if arc == (0, 1) else arc for arc in QR_ARCS]
+    with pytest.raises(OrientationError, match=f"arc point {bad!r} is not"):
+        validate_orientation(b1, arcs)
+
+
+def test_validate_orientation_rejects_a_stray_arc(b1):
+    # the axioms look only at pairs in 0..6, so only the point check sees (0, 7)
+    with pytest.raises(OrientationError, match="arc point 7 is not"):
+        validate_orientation(b1, QR_ARCS + [(0, 7)])
+
+
+@pytest.mark.parametrize("bad", [1.7, 1.0, True, "1", -1, 7])
+def test_validate_circuit_rejects_bad_points(b1, bad):
+    with pytest.raises(CircuitError, match=f"point {bad!r} is not"):
+        validate_circuit(b1, (0, bad, 2, 3, 4, 5, 6))

@@ -132,7 +132,8 @@ def test_lagrange_sanity():
 
 
 def test_group_from_elements_rejects_non_groups():
-    with pytest.raises(ValueError):
+    # the missing inverse of TAU1 shows as the closure leaving the set
+    with pytest.raises(ValueError, match="not closed under composition"):
         group_from_elements(7, [identity(7), TAU1])  # not closed
 
 
