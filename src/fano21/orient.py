@@ -116,7 +116,11 @@ def validate_orientation(plane: TripleSystem, arcs: Iterable[Arc]) -> OrientedFa
 
 
 def orientation_from_json(plane: TripleSystem, data: dict) -> OrientedFano:
-    return validate_orientation(plane, [tuple(a) for a in data["arcs"]])
+    """Read {"arcs": [[x, y], ...]}, naming the field at fault in a bad one."""
+    arcs = data.get("arcs") if isinstance(data, dict) else None
+    if not isinstance(arcs, list) or not all(isinstance(a, list) and len(a) == 2 for a in arcs):
+        raise OrientationError(f"'arcs' must be a list of [x, y] point pairs, got {data!r}")
+    return validate_orientation(plane, [tuple(a) for a in arcs])
 
 
 def qr_orientation() -> OrientedFano:

@@ -8,7 +8,7 @@ equality of canonical block lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from typing import Hashable, Iterable, Sequence
 
@@ -366,12 +366,17 @@ def exact_covers(
 def all_fano_planes() -> list[TripleSystem]:
     """Every labeled STS(7) on points {0..6} (there are 30), sorted: the
     exact covers of the 21 pairs by the 35 triples, each covering its 3
-    pairs."""
+    pairs.  The search runs once per process; each call gets a new list."""
+    return list(_fano_planes())
+
+
+@lru_cache(maxsize=None)
+def _fano_planes() -> tuple[TripleSystem, ...]:
     pairs = list(combinations(range(7), 2))
     triples = list(combinations(range(7), 3))
     covers = exact_covers(pairs, [combinations(t, 2) for t in triples])
     planes = [TripleSystem(7, tuple(triples[i] for i in c)) for c in covers]
-    return sorted(planes, key=lambda s: s.blocks)
+    return tuple(sorted(planes, key=lambda s: s.blocks))
 
 
 def orthogonal_mates(plane: TripleSystem) -> list[TripleSystem]:

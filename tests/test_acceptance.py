@@ -7,9 +7,9 @@ theorems.
 
 import pytest
 
-from fano21 import kirkman, octonion, orient, steiner
+from fano21 import embed, kirkman, octonion, orient, steiner
 from fano21.certificates import ALL_CHECKS, run_check
-from fano21.perms import identity
+from fano21.perms import affine_group, identity
 
 CHECK_NAMES = [name for name, _func in ALL_CHECKS]
 
@@ -74,3 +74,80 @@ def test_certificate_fails_when_an_automorphism_is_rejected(monkeypatch):
     report = run_check("octonion-f21")
     assert report.status == "FAIL"
     assert report.witness == {"automorphisms": 20}
+
+
+def test_certificate_fails_when_a_product_is_wrong(monkeypatch):
+    product = octonion.multiply
+    monkeypatch.setattr(
+        octonion, "multiply", lambda a, b, table=None: product(a, b, table) + octonion.ONE
+    )
+    report = run_check("octonion-f21")
+    assert report.status == "FAIL"
+    assert report.witness == {"sample": 0}
+
+
+def test_certificate_fails_when_a_mate_is_dropped(monkeypatch):
+    mates = steiner.orthogonal_mates
+    monkeypatch.setattr(steiner, "orthogonal_mates", lambda plane: mates(plane)[1:])
+    report = run_check("mate-count-8")
+    assert report.status == "FAIL"
+    assert report.witness == {"plane": steiner.all_fano_planes()[0].to_json(), "mates": 7}
+
+
+def test_certificate_fails_on_a_common_group_of_order_7(monkeypatch):
+    monkeypatch.setattr(
+        steiner, "common_automorphism_group", lambda s1, s2: affine_group(7, {1})
+    )
+    report = run_check("orthogonal-aut-order-21")
+    assert report.status == "FAIL"
+    assert report.witness == {"order": 7}
+
+
+def test_certificate_fails_on_another_oriented_group(monkeypatch, b1, qr):
+    # every orientation is given the group of the quadratic-residue one
+    group = orient.oriented_automorphism_group
+    monkeypatch.setattr(orient, "oriented_automorphism_group", lambda o: group(qr))
+    report = run_check("oriented-aut-equals-common")
+    assert report.status == "FAIL"
+    first = next(o for o in orient.all_orientations(b1) if o.arcs != qr.arcs)
+    assert report.witness == {"arcs": sorted(first.arcs)}
+
+
+def test_certificate_fails_when_reverse_is_the_identity(monkeypatch, b1):
+    monkeypatch.setattr(orient, "reverse", lambda oriented: oriented)
+    report = run_check("reverse-involution")
+    assert report.status == "FAIL"
+    assert report.witness == {"arcs": sorted(orient.all_orientations(b1)[0].arcs)}
+
+
+def test_certificate_fails_when_a_face_is_dropped(monkeypatch):
+    faces = embed.trace_faces
+    monkeypatch.setattr(embed, "trace_faces", lambda rotation: faces(rotation)[1:])
+    report = run_check("classical-embedding")
+    assert report.status == "FAIL"
+    assert report.witness == {"face_count": 13}
+
+
+def test_certificate_fails_with_one_completion(monkeypatch):
+    completions = embed.triangular_completions
+    monkeypatch.setattr(embed, "triangular_completions", lambda rho0: completions(rho0)[:1])
+    report = run_check("triangular-completions-2")
+    assert report.status == "FAIL"
+    assert report.witness == {"count": 1}
+
+
+def test_certificate_fails_when_an_affine_map_reverses(monkeypatch):
+    monkeypatch.setattr(embed, "isomorphism_flag", lambda sigma, r1, r2: embed.REVERSING)
+    report = run_check("affine-maps-preserve-rotation")
+    assert report.status == "FAIL"
+    assert report.witness == {"map": "x -> 1x+0"}
+
+
+def test_certificate_fails_when_sts13_is_not_orthogonal(monkeypatch):
+    flags = steiner.are_orthogonal
+    monkeypatch.setattr(
+        steiner, "are_orthogonal", lambda s1, s2: {**flags(s1, s2), "orthogonal": False}
+    )
+    report = run_check("sts13-orthogonal-39")
+    assert report.status == "FAIL"
+    assert report.witness == {"flags": {"disjoint": True, "orthogonal": False}}

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,14 @@ def test_verify_all_text(capsys):
     lines = [l for l in out.splitlines() if l]
     assert len(lines) == 14
     assert all(l.startswith("PASS ") for l in lines)
+
+
+def test_verify_all_json_matches_golden_file(capsys):
+    # every witness payload is pinned; only the timings are masked
+    code, out, _ = run(capsys, "verify-all", "--format", "json")
+    assert code == 0
+    masked = re.sub(r'"seconds": [0-9.e-]+', '"seconds": "masked"', out)
+    assert masked == (Path(__file__).parent / "verify_all.golden.json").read_text()
 
 
 def test_verify_all_json(capsys):

@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fano21.orient import oriented_automorphism_group
+import fano21
+from fano21.orient import all_orientations, oriented_automorphism_group
 from fano21.perms import Perm, group_from_elements
 from fano21.octonion import (
     ONE,
     ZERO,
+    Octonion,
     algebra_automorphism_perms,
     basis_product,
     cartan_table,
@@ -21,6 +28,29 @@ from fano21.octonion import (
     unit,
     unit_to_point,
 )
+from fano21.steiner import fano_b1, map_sts
+
+
+def multiply_by_definition(a, b, table=None):
+    """Oracle for ``multiply``: the bilinear extension of the basis table,
+    summed term by term over the 64 coefficient pairs."""
+    if table is None:
+        table = cartan_table()
+    out = [0] * 8
+    for i, ai in enumerate(a.coeffs):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b.coeffs):
+            if bj == 0:
+                continue
+            if i == 0:
+                out[j] += ai * bj
+            elif j == 0:
+                out[i] += ai * bj
+            else:
+                sign, k = table[i - 1][j - 1]
+                out[k] += sign * ai * bj
+    return Octonion(tuple(out))
 
 
 def test_unit_point_mapping():
@@ -208,3 +238,68 @@ def test_default_table_products_match_explicit_table(qr):
     for i in range(1, 8):
         for j in range(1, 8):
             assert basis_product(i, j) == basis_product(i, j, qr)
+
+
+# 0, small values and values far beyond any machine word, so that the
+# products are shown exact
+_exact_octonions = st.lists(
+    st.integers(-9, 9) | st.sampled_from((2**70, -(2**70))), min_size=8, max_size=8
+).map(octonion)
+_B1_TABLES = [cartan_table(o) for o in all_orientations(fano_b1())]
+
+
+@given(_exact_octonions, _exact_octonions, st.sampled_from([None] + _B1_TABLES))
+def test_multiply_matches_definition(a, b, table):
+    assert multiply(a, b, table) == multiply_by_definition(a, b, table)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_exact_octonions, _exact_octonions, st.permutations(range(7)), st.integers(0, 7))
+def test_multiply_matches_definition_on_relabelled_tables(a, b, images, index):
+    plane = map_sts(Perm(tuple(images)), fano_b1())
+    table = cartan_table(all_orientations(plane)[index])
+    assert multiply(a, b, table) == multiply_by_definition(a, b, table)
+
+
+def _with_entry(entry):
+    """The default table with the entry for e2 e3 replaced."""
+    rows = [list(row) for row in cartan_table()]
+    rows[1][2] = entry
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (_with_entry((2, 5)), r"entry e2e3 = \(2, 5\)"),
+        (_with_entry((1, 8)), r"entry e2e3 = \(1, 8\)"),
+        (_with_entry((-1, 1.0)), r"entry e2e3 = \(-1, 1.0\)"),
+        (_with_entry(5), r"entry e2e3 = 5 "),
+        (cartan_table()[:6], "7 rows of 7 entries"),
+        (cartan_table()[:6] + (cartan_table()[6][:6],), "7 rows of 7 entries"),
+    ],
+    ids=["bad-sign", "k-out-of-range", "float-k", "not-a-pair", "six-rows", "short-row"],
+)
+def test_multiply_rejects_a_bad_table(table, message):
+    with pytest.raises(ValueError, match=message):
+        multiply(ONE, ONE, table)
+    with pytest.raises(ValueError, match=message):  # and the same table given as lists
+        multiply(ONE, ONE, [list(row) for row in table])
+
+
+def test_multiply_accepts_a_table_of_lists(qr):
+    table = cartan_table(qr)
+    as_lists = [[list(entry) for entry in row] for row in table]
+    samples = random_octonions(40, seed=3)
+    for a, b in zip(samples, samples[1:]):
+        assert multiply(a, b, as_lists) == multiply(a, b, table) == multiply_by_definition(a, b, table)
+
+
+def test_product_kernel_is_not_built_at_import():
+    env = dict(os.environ, PYTHONPATH=str(Path(fano21.__file__).parents[1]))
+    probe = ("import fano21.cli, fano21.octonion as o; "
+             "print(o._product.cache_info().currsize); o.multiply(o.ONE, o.ONE); "
+             "print(o._product.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0", "1"]

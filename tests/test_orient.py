@@ -281,6 +281,16 @@ def test_orientation_json_round_trip(b1, qr):
     assert orientation_from_json(b1, data).arcs == qr.arcs
 
 
+@pytest.mark.parametrize(
+    "data",
+    [{}, {"arcs": 5}, {"arcs": [[0, 1, 2]]}, {"arcs": [[0, 1], 3]}, [[0, 1]]],
+    ids=["no-arcs", "arcs-not-a-list", "three-point-arc", "arc-not-a-list", "not-an-object"],
+)
+def test_orientation_from_json_names_the_bad_field(b1, data):
+    with pytest.raises(OrientationError, match="'arcs' must be a list of \\[x, y\\] point pairs"):
+        orientation_from_json(b1, data)
+
+
 def test_enumerations_match_sweeps_on_all_planes(all_planes):
     for plane in all_planes:
         assert all_orientations(plane) == all_orientations_by_sweep(plane)

@@ -263,6 +263,16 @@ def test_all_fano_planes(all_planes):
         assert validate_sts(7, p.blocks) == p
 
 
+def test_all_fano_planes_returns_a_new_list_each_call():
+    planes = all_fano_planes()
+    planes.pop()
+    planes[0] = None
+    again = all_fano_planes()
+    assert len(again) == 30 and again[0] is not None
+    assert again == sorted(again, key=lambda s: s.blocks)
+    assert again is not all_fano_planes()
+
+
 def test_exact_covers_knuth_example():
     # Knuth, "Dancing Links" (2000): items A..G, one exact cover
     subsets = ["CEF", "ADG", "BCF", "AD", "BG", "DEG"]
