@@ -8,7 +8,7 @@ Translation by z acts as i -> i+z and i' -> (i+z)' (mod 7), fixing 14.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .perms import Perm, PermGroup, group_from_elements
 from .steiner import (
@@ -100,9 +100,10 @@ def sts15_61() -> TripleSystem:
 def fano_subplanes(system: TripleSystem) -> list[tuple[tuple[int, ...], TripleSystem]]:
     """All 7-point subsystems (Fano subplanes), sorted by point set, each
     with its blocks relabelled onto 0..6 in point order: the closures of
-    the 3-subsets that have 7 points."""
+    the 3-subsets that have 7 points.  Each closure is cut off at its
+    eighth point, since a larger one is no subplane."""
     subsets = {
-        tuple(sorted(p for p, _ in closure(system, seeds)))
+        tuple(sorted(p for p, _ in islice(closure(system, seeds), 8)))
         for seeds in combinations(range(system.v), 3)
     }
     out = []

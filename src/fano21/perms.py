@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -189,33 +190,37 @@ class PermGroup:
         return self.element_set <= other.element_set
 
 
-def _closure(degree: int, candidates: Iterable[Perm]) -> Iterator[Perm]:
-    """Yield each element of the group the candidates generate once, the
-    first time it is reached, starting with the identity.
+def _closure(degree: int, candidates: Iterable[Perm]) -> Iterator[tuple[int, ...]]:
+    """Yield the image tuple of each element of the group the candidates
+    generate once, the first time it is reached, starting with the
+    identity.
 
     Generators T are picked greedily: each candidate not yet in <T> joins
     T, and <T> is grown by right multiplication with every generator.
-    This costs |<T>| * |T| compositions.  Reached elements are kept by
-    image tuple, whose hash and equality run in C.
+    This costs |<T>| * |T| products of image tuples, and builds no Perm:
+    generator s is ``itemgetter(*s.images)``, which maps the images of p
+    to those of ``compose(p, s)`` in C.  At degree 1, where ``itemgetter``
+    would return a bare int, the one candidate is the identity.
     """
-    reached = [identity(degree)]
-    seen = {reached[0].images}
+    reached = [tuple(range(degree))]
+    seen = set(reached)
     yield reached[0]
-    gens: list[Perm] = []
+    gens: list[itemgetter] = []
     for s in candidates:
         if s.images in seen:
             continue
-        gens.append(s)
+        gen = itemgetter(*s.images)
+        gens.append(gen)
         # Old elements are closed under the old generators: apply only
         # the new one to them, then every generator to what that adds.
         old = len(reached)
         k = 0
         while k < len(reached):
             p = reached[k]
-            for t in (s,) if k < old else gens:
-                q = compose(p, t)
-                if q.images not in seen:
-                    seen.add(q.images)
+            for g in (gen,) if k < old else gens:
+                q = g(p)
+                if q not in seen:
+                    seen.add(q)
                     reached.append(q)
                     yield q
             k += 1
@@ -226,7 +231,7 @@ def generate_group(degree: int, generators: Sequence[Perm]) -> PermGroup:
     for g in generators:
         if g.degree != degree:
             raise DegreeMismatch(f"generator degree {g.degree}, expected {degree}")
-    return PermGroup(degree, tuple(_closure(degree, generators)))
+    return PermGroup(degree, tuple(map(_unchecked, _closure(degree, generators))))
 
 
 def group_from_elements(degree: int, elements: Iterable[Perm]) -> PermGroup:
@@ -235,13 +240,14 @@ def group_from_elements(degree: int, elements: Iterable[Perm]) -> PermGroup:
     S must hold the identity, and the closure of S must stay in S: any
     element the closure reaches outside S raises "not closed under
     composition" at once, also where S lacks an inverse.  Then S <= <S>
-    <= S, so S = <S> is a group, proved in about |S| * |T| compositions
-    for the greedy generators T of the closure instead of |S|^2.
+    <= S, so S = <S> is a group, proved in about |S| * |T| products
+    for the greedy generators T of the closure instead of |S|^2.  The
+    proof runs on image tuples and builds no Perm.
     """
     g = PermGroup(degree, tuple(elements))
     elems = {p.images for p in g.elements}
-    for p in _closure(degree, g.elements):
-        if p.images not in elems:
+    for images in _closure(degree, g.elements):
+        if images not in elems:
             raise ValueError("not closed under composition")
     return g
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .perms import Perm, PermGroup, group_from_elements
 
@@ -201,93 +201,100 @@ def are_orthogonal(s1: TripleSystem, s2: TripleSystem) -> dict[str, bool]:
 
 def closure(
     system: TripleSystem, seeds: Iterable[int]
-) -> list[tuple[int, tuple[int, int] | None]]:
+) -> Iterator[tuple[int, tuple[int, int] | None]]:
     """The points generated by the seeds under "third point of a pair",
-    each once as (point, pair): pair is None for a seed taken as a base
-    point, else the pair of earlier points whose third point it is.
+    each yielded once as (point, pair): pair is None for a seed taken as a
+    base point, else the pair of earlier points whose third point it is.
 
     Each seed not yet placed becomes a base point, and the third point of
-    each pair of points already placed is appended, recording that pair,
+    each pair of points already placed follows, recording that pair,
     until nothing new appears.  The points form a subsystem, and every
     subsystem holding the seeds holds them (Colbourn & Rosa, *Triple
-    Systems*).
+    Systems*).  Entries are yielded as found, so a caller that stops early
+    stops the search; one that walks the order twice needs ``list(...)``.
     """
     table = system.third_table
     placed = [False] * system.v
-    order: list[tuple[int, tuple[int, int] | None]] = []
+    points: list[int] = []
     for base in seeds:
         if placed[base]:
             continue
         placed[base] = True
-        order.append((base, None))
-        i = len(order) - 1
-        while i < len(order):
-            p = order[i][0]
-            for j in range(i):
-                q = order[j][0]
+        points.append(base)
+        yield base, None
+        i = len(points) - 1
+        while i < len(points):
+            p = points[i]
+            for q in points[:i]:
                 z = table[q][p]
                 if not placed[z]:
                     placed[z] = True
-                    order.append((z, (q, p)))
+                    points.append(z)
+                    yield z, (q, p)
             i += 1
-    return order
 
 
 def isomorphisms(s1: TripleSystem, s2: TripleSystem) -> list[Perm]:
     """All block-preserving bijections s1 -> s2, sorted by image tuple.
 
-    Backtracking over the points of s1 in their :func:`closure` order.
-    A base point tries every free image; a derived point, the third point
-    of an earlier pair {a, b}, has the one candidate image, the third point
-    of {images[a], images[b]} in s2.  Each candidate image of a point x is
-    checked against every point y placed before it through the third-point
-    tables of both systems: the third point t of {x, y} in s1 must map to
-    the third point u of {candidate, images[y]} in s2, so u must equal
-    images[t] when t is already placed, and must be still free otherwise.
-    Each check is two table reads.
+    Runs the search kernel compiled for s1, a straight-line function built
+    on first use and kept for the last 64 source systems (see
+    :func:`_isomorphism_kernel`), on the third-point table of s2.  Each
+    map is returned as a validated Perm.
     """
     if s1.v != s2.v:
         raise PointSetMismatch(s1.v, s2.v)
-    t1, t2 = s1.third_table, s2.third_table
-    v = s1.v
-    order = closure(s1, range(v))
-    earlier = [[p for p, _ in order[:k]] for k in range(v)]
-    images = [-1] * v
-    used = [False] * v
-    out: list[Perm] = []
+    return [Perm(images) for images in sorted(_isomorphism_kernel(s1)(s2.third_table))]
 
-    def place(k: int) -> None:
-        if k == v:
-            out.append(Perm(tuple(images)))
-            return
-        x, pair = order[k]
+
+@lru_cache(maxsize=64)
+def _isomorphism_kernel(s1: TripleSystem) -> Callable[[ThirdTable], list[tuple[int, ...]]]:
+    """The isomorphism search from s1, compiled to one straight-line
+    function of the third-point table t2 of a target system, returning
+    the image tuple of every isomorphism in the order found.
+
+    The points of s1 are placed in their :func:`closure` order, the image
+    of point x held in the local ``ix``.  A base point loops over every
+    image not yet used; a derived point, the third point of an earlier
+    pair {a, b}, takes the one image ``t2[ia][ib]``, and the branch dies
+    if that is -1.  Every other block {a, b, c} of s1 is checked once,
+    where the last of its points, c, is placed: ``t2[ia][ib]`` must be
+    ``ic``.
+
+    These checks prove that a leaf is an isomorphism.  Each block of s1
+    either defines a derived point or is checked, so its three images form
+    a block of s2 and are distinct.  Any two points of s1 lie in a block,
+    so the map is injective, hence a bijection, and it carries the blocks
+    of s1 onto blocks of s2.  No check is needed where a base point is
+    placed: the points before it are closed, so no block has its last
+    point there.  The source holds only v and the points of s1, which
+    :func:`validate_sts` checks to be ints.
+    """
+    order = list(closure(s1, range(s1.v)))
+    position = {x: k for k, (x, _) in enumerate(order)}
+    checks: list[list[str]] = [[] for _ in order]
+    for block in s1.blocks:
+        a, b, c = sorted(block, key=position.__getitem__)
+        pair = order[position[c]][1]
+        if pair is None or {a, b} != set(pair):
+            checks[position[c]].append(f"if t2[i{a}][i{b}] != i{c}: continue")
+    lines = ["def kernel(t2):", " out = []"]
+    pad, placed = " ", []
+    for (x, pair), tests in zip(order, checks):
         if pair is None:
-            candidates: Iterable[int] = range(v)
+            lines.append(f"{pad}for i{x} in range({s1.v}):")
+            pad += " "
+            if placed:
+                lines.append(f"{pad}if i{x} in ({', '.join(placed)},): continue")
         else:
-            candidates = (t2[images[pair[0]]][images[pair[1]]],)
-        row1 = t1[x]
-        for cand in candidates:
-            if used[cand]:
-                continue
-            row2 = t2[cand]
-            for y in earlier[k]:
-                u = row2[images[y]]
-                w = images[row1[y]]  # the image of t, or -1
-                if w >= 0:
-                    if w != u:
-                        break
-                elif used[u] or u == cand:
-                    # t is still unplaced, so its image u must be free
-                    break
-            else:
-                images[x] = cand
-                used[cand] = True
-                place(k + 1)
-                images[x] = -1
-                used[cand] = False
-
-    place(0)
-    return sorted(out)
+            lines.append(f"{pad}i{x} = t2[i{pair[0]}][i{pair[1]}]")
+            lines.append(f"{pad}if i{x} < 0: continue")
+        lines += [pad + test for test in tests]
+        placed.append(f"i{x}")
+    images = ", ".join(f"i{x}" for x in range(s1.v))
+    lines += [f"{pad}out.append(({images},))", " return out"]
+    exec("\n".join(lines), namespace := {})
+    return namespace["kernel"]
 
 
 def isomorphisms_bruteforce(s1: TripleSystem, s2: TripleSystem) -> list[Perm]:

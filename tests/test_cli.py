@@ -1,15 +1,19 @@
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fano21
 from fano21 import certificates
 from fano21.cli import build_parser, main
+from fano21.kirkman import sts15_61
 
 
 CLASSICAL_CYCLES = {
@@ -319,3 +323,71 @@ def test_successive_calls_match_fresh_processes(monkeypatch, capsys):
         )
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert build_parser() is build_parser()
+
+
+# Any JSON value; small ints, so that some of them are points in range.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 16) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.sampled_from(["v", "blocks"]) | st.text(max_size=2), inner,
+                      max_size=3),
+    max_leaves=30,
+)
+
+# b1, AG(2,3) and #61: valid designs with v = 7, 9 and 15
+_VALID = [
+    [[0, 1, 3], [1, 2, 4], [2, 3, 5], [3, 4, 6], [0, 4, 5], [1, 5, 6], [0, 2, 6]],
+    [[0, 1, 2], [3, 4, 5], [6, 7, 8], [0, 3, 6], [1, 4, 7], [2, 5, 8],
+     [0, 4, 8], [2, 4, 6], [1, 5, 6], [2, 3, 7], [0, 5, 7], [1, 3, 8]],
+    [list(b) for b in sts15_61().blocks],
+]
+
+
+# design-shaped objects with v <= 15
+_SHAPED = st.fixed_dictionaries({
+    "v": st.integers(-1, 15) | _JSON,
+    "blocks": st.lists(st.lists(st.integers(-1, 15), max_size=4) | _JSON, max_size=40),
+})
+
+
+@st.composite
+def _relabelled_designs(draw):
+    """(design, whether it is valid): b1, AG(2,3) or #61 relabelled, perhaps
+    with one block dropped, or one point moved or written as a float."""
+    blocks = draw(st.sampled_from(_VALID))
+    v = max(map(max, blocks)) + 1
+    sigma = draw(st.permutations(range(v)))
+    blocks = [[sigma[x] for x in b] for b in blocks]
+    edit = draw(st.sampled_from(["none", "drop", "move", "float"]))
+    k, i = draw(st.integers(0, len(blocks) - 1)), draw(st.integers(0, 2))
+    if edit == "drop":
+        del blocks[k]
+    elif edit == "move":
+        blocks[k][i] = draw(st.integers(-1, v))
+    elif edit == "float":
+        blocks[k][i] = float(blocks[k][i])
+    return {"v": v, "blocks": blocks}, edit == "none"
+
+
+@pytest.mark.parametrize(
+    "designs", [(_JSON | _SHAPED).map(lambda d: (d, False)), _relabelled_designs()],
+    ids=["any", "relabelled"],
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), fmt=st.sampled_from(["text", "json"]),
+       kind=st.sampled_from(["mates", "orientations", "circuits", "parallel-classes"]))
+def test_fuzzed_design_files_exit_cleanly(tmp_path_factory, designs, data, fmt, kind):
+    # every JSON file, valid or not, ends in exit code 0, 1 or 2, never in
+    # an exception that escapes main
+    design, valid = data.draw(designs)
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(design))
+    for argv in (["aut", "--format", fmt], ["enumerate", kind, "--format", fmt]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, "--design", str(path)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if valid and argv[0] == "aut":
+            assert code == 0 and err.getvalue() == ""

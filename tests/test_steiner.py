@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from fano21 import steiner
 from fano21.kirkman import sts15_61
-from fano21.perms import Perm, affine_group, affine_perm
+from fano21.perms import Perm, affine_group, affine_perm, compose
 from fano21.steiner import (
     BadBlockCount,
     PairCoveredTwice,
@@ -120,6 +125,37 @@ def test_automorphism_group_of_ag23(ag23):
     assert automorphism_group(ag23).order == 432
 
 
+def test_automorphism_group_of_pg32(pg32):
+    # the collineations of PG(3,2) are GL(4,2), of order 20160
+    group = automorphism_group(pg32)
+    assert group.order == 20160
+    blocks = pg32.block_set()
+    for p in group:
+        assert {tuple(sorted(map(p, b))) for b in pg32.blocks} == blocks
+
+
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_isomorphisms_onto_relabellings_are_the_coset(ag23, pg32, data):
+    # the isomorphisms S -> tau(S) are the maps tau o g, g in Aut(S)
+    for system in (ag23, pg32):
+        tau = Perm(tuple(data.draw(st.permutations(range(system.v)))))
+        target = map_sts(tau, system)
+        coset = sorted(compose(tau, g) for g in isomorphisms(system, system))
+        assert isomorphisms(system, target) == coset
+
+
+def test_isomorphism_kernel_is_not_built_at_import():
+    env = dict(os.environ, PYTHONPATH=str(Path(steiner.__file__).parents[1]))
+    probe = ("import fano21.cli, fano21.steiner as s; "
+             "print(s._isomorphism_kernel.cache_info().currsize); "
+             "s.automorphism_group(s.fano_b1()); "
+             "print(s._isomorphism_kernel.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0", "1"]
+
+
 def test_bruteforce_oracle_agrees(b1, b2):
     assert isomorphisms(b1, b2) == isomorphisms_bruteforce(b1, b2)
     assert isomorphisms(b1, b1) == isomorphisms_bruteforce(b1, b1)
@@ -170,7 +206,7 @@ def test_generating_order(ag23):
         (sts15_61(), {3, 4}),
     ]
     for system, base_counts in systems:
-        order = closure(system, range(system.v))
+        order = list(closure(system, range(system.v)))
         points = [x for x, _ in order]
         assert sorted(points) == list(range(system.v))
         bases = [x for x, pair in order if pair is None]
@@ -189,7 +225,7 @@ def test_generating_order(ag23):
 def test_closure_holds_seeds_and_is_closed(make, data):
     system = make()
     seeds = data.draw(st.lists(st.integers(0, system.v - 1), max_size=4))
-    order = closure(system, seeds)
+    order = list(closure(system, seeds))
     points = [x for x, _ in order]
     assert len(set(points)) == len(points)
     assert set(seeds) <= set(points)
