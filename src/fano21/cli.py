@@ -17,10 +17,21 @@ from typing import Sequence
 
 from . import certificates, embed, kirkman, octonion, orient, steiner
 from .kirkman import point_name
+from .perms import classify_order21
 
-BUILTIN_DESIGNS = ("b1", "b2", "sts13", "sts61")
-BUILTIN_ROTATIONS = ("classical-rotation",)
-BUILTIN_ORIENTATIONS = ("qr-orientation",)
+BUILTIN_DESIGNS = {
+    "b1": steiner.fano_b1,
+    "b2": steiner.fano_b2,
+    "sts13": steiner.cyclic_sts13,
+    "sts61": kirkman.sts15_61,
+}
+BUILTIN_ROTATIONS = {"classical-rotation": embed.classical_rotation}
+# per kind of input: its builtins, its JSON reader, the errors of a bad file
+INPUTS = {
+    "design": (BUILTIN_DESIGNS, steiner.sts_from_json, (steiner.StsError, KeyError, TypeError)),
+    "rotation": (BUILTIN_ROTATIONS, embed.rotation_from_json,
+                 (embed.RotationError, KeyError, TypeError, ValueError)),
+}
 
 
 class CliError(Exception):
@@ -53,44 +64,21 @@ def _load_json(path: str) -> dict:
         )
 
 
-def _builtin_design(name: str) -> steiner.TripleSystem:
-    if name == "b1":
-        return steiner.fano_b1()
-    if name == "b2":
-        return steiner.fano_b2()
-    if name == "sts13":
-        return steiner.cyclic_sts13()
-    if name == "sts61":
-        return kirkman.sts15_61()
-    raise CliError(f"unknown builtin design {name!r} (try {BUILTIN_DESIGNS})", 2)
-
-
-def _design_from_args(args: argparse.Namespace) -> steiner.TripleSystem:
+def _input_from_args(args: argparse.Namespace, kind: str):
+    """The --builtin input, else the file of --design or --rotation, by kind."""
+    builtins, reader, errors = INPUTS[kind]
     if args.builtin:
-        return _builtin_design(args.builtin)
-    if not args.design:
-        raise CliError("need --design FILE or --builtin NAME", 2)
-    data = _load_json(args.design)
+        if args.builtin not in builtins:
+            raise CliError(f"unknown builtin {kind} {args.builtin!r} (try {tuple(builtins)})", 2)
+        return builtins[args.builtin]()
+    path = getattr(args, kind)
+    if not path:
+        raise CliError(f"need --{kind} FILE or --builtin NAME", 2)
+    data = _load_json(path)
     try:
-        return steiner.sts_from_json(data)
-    except (steiner.StsError, KeyError, TypeError) as exc:
-        raise CliError(f"invalid design: {exc}", 1)
-
-
-def _rotation_from_args(args: argparse.Namespace) -> embed.RotationSystem:
-    if args.builtin:
-        if args.builtin not in BUILTIN_ROTATIONS:
-            raise CliError(
-                f"unknown builtin rotation {args.builtin!r} (try {BUILTIN_ROTATIONS})", 2
-            )
-        return embed.classical_rotation()
-    if not args.rotation:
-        raise CliError("need --rotation FILE or --builtin NAME", 2)
-    data = _load_json(args.rotation)
-    try:
-        return embed.rotation_from_json(data)
-    except (embed.RotationError, KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"invalid rotation: {exc}", 1)
+        return reader(data)
+    except errors as exc:
+        raise CliError(f"invalid {kind}: {exc}", 1)
 
 
 def _block_str(block: Sequence[int], v: int) -> str:
@@ -111,22 +99,15 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    design = _design_from_args(args)
-    try:
-        if args.kind == "mates":
-            items = [s.to_json() for s in steiner.orthogonal_mates(design)]
-        elif args.kind == "orientations":
-            items = [o.to_json() for o in orient.all_orientations(design)]
-        elif args.kind == "circuits":
-            items = [list(c.seq) for c in orient.all_circuits(design)]
-        elif args.kind == "parallel-classes":
-            items = [
-                [list(b) for b in cls] for cls in kirkman.parallel_classes(design)
-            ]
-        else:  # pragma: no cover - argparse restricts choices
-            raise CliError(f"unknown kind {args.kind!r}", 2)
-    except (steiner.StsError, orient.OrientationError) as exc:
-        raise CliError(str(exc), 1)
+    design = _input_from_args(args, "design")
+    if args.kind == "mates":
+        items = [s.to_json() for s in steiner.orthogonal_mates(design)]
+    elif args.kind == "orientations":
+        items = [o.to_json() for o in orient.all_orientations(design)]
+    elif args.kind == "circuits":
+        items = [list(c.seq) for c in orient.all_circuits(design)]
+    else:  # parallel-classes, the last of the kinds argparse allows
+        items = [[list(b) for b in cls] for cls in kirkman.parallel_classes(design)]
     if args.format == "json":
         print(json.dumps(items, indent=2))
         return 0
@@ -144,7 +125,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_faces(args: argparse.Namespace) -> int:
-    rotation = _rotation_from_args(args)
+    rotation = _input_from_args(args, "rotation")
     faces = embed.trace_faces(rotation)
     chi = embed.euler_characteristic(rotation)
     try:
@@ -189,11 +170,8 @@ def cmd_faces(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    rotation = _rotation_from_args(args)
-    try:
-        witness, flag = embed.classify_triangular(rotation)
-    except embed.NotTriangular as exc:
-        raise CliError(str(exc), 1)
+    rotation = _input_from_args(args, "rotation")
+    witness, flag = embed.classify_triangular(rotation)
     if args.format == "json":
         print(json.dumps({"witness": witness.to_json(), "flag": flag}))
     else:
@@ -203,12 +181,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_aut(args: argparse.Namespace) -> int:
-    design = _design_from_args(args)
+    design = _input_from_args(args, "design")
     group = steiner.automorphism_group(design)
     tag = None
     if group.order == 21:
-        from .perms import classify_order21
-
         tag = classify_order21(group)
     if args.format == "json":
         print(
@@ -295,7 +271,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except (steiner.StsError, orient.OrientationError, orient.CircuitError,
-            embed.RotationError, embed.NotTwoColorable) as exc:
+            embed.RotationError, embed.NotTwoColorable, embed.NotTriangular) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
-from .perms import Perm, PermGroup, group_from_elements
+from .perms import Perm, PermGroup, group_from_elements, stabilizer
 from .steiner import exact_covers
 
 PRESERVING = "Preserving"
@@ -330,16 +330,13 @@ def embedding_automorphism_group(rotation: RotationSystem) -> PermGroup:
 
 
 def color_automorphism_group(rotation: RotationSystem) -> PermGroup:
-    """Embedding automorphisms fixing both color classes (as families of
-    face vertex sets)."""
+    """Embedding automorphisms fixing both color classes, each class the
+    set of its faces' vertex sets."""
     coloring = two_coloring(rotation)
-    classes = (set(coloring.class_a_sets()), set(coloring.class_b_sets()))
-    keep = [
-        sigma
-        for sigma, _flag in embedding_isomorphisms(rotation, rotation)
-        if all({tuple(sorted(map(sigma, f))) for f in c} == c for c in classes)
-    ]
-    return group_from_elements(rotation.n, keep)
+    maps = [sigma for sigma, _flag in embedding_isomorphisms(rotation, rotation)]
+    classes = [frozenset(frozenset(f.walk) for f in faces)
+               for faces in (coloring.class_a, coloring.class_b)]
+    return stabilizer(rotation.n, maps, *classes)
 
 
 def triangular_completions(rho0: Sequence[int]) -> list[RotationSystem]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 
-from .perms import Perm, PermGroup, group_from_elements
+from .perms import Perm, PermGroup, group_from_elements, stabilizer
 from .steiner import (
     StsError,
     Triple,
@@ -26,8 +26,6 @@ from .steiner import (
 )
 
 INFINITY = 14
-FINITE = tuple(range(7))
-OUTSIDE = tuple(range(7, 15))  # the primed points and infinity
 
 
 def point_name(p: int) -> str:
@@ -39,12 +37,12 @@ def point_name(p: int) -> str:
 
 
 def parse_point(name: str) -> int:
-    name = name.strip()
-    if name in ("inf", "oo", "∞"):
-        return INFINITY
-    if name.endswith("'"):
-        return int(name[:-1]) + 7
-    return int(name)
+    """Inverse of :func:`point_name`; "oo" and "∞" also name inf."""
+    names = {point_name(p): p for p in range(15)} | {"oo": INFINITY, "∞": INFINITY}
+    try:
+        return names[name.strip()]
+    except KeyError:
+        raise ValueError(f"{name!r} is not a point name: 0..6, 0'..6' or inf") from None
 
 
 def _translate(p: int, z: int) -> int:
@@ -116,34 +114,6 @@ def fano_subplanes(system: TripleSystem) -> list[tuple[tuple[int, ...], TripleSy
     return out
 
 
-def outside_shadow(system: TripleSystem) -> dict[Triple, Triple]:
-    """For each 3-subset {x,y,z} of the non-Fano points, the unique
-    {a,b,c} in the Fano point set with axy, bxz, cyz all blocks."""
-    planes = fano_subplanes(system)
-    if len(planes) != 1 or planes[0][0] != FINITE:
-        raise StsError("system does not have the unique Fano subplane on 0..6")
-    shadow: dict[Triple, Triple] = {}
-    for (x, y, z) in combinations(OUTSIDE, 3):
-        abc = []
-        for pair in ((x, y), (x, z), (y, z)):
-            a = system.third_point(*pair)
-            if a not in FINITE:
-                raise StsError(f"pair {pair} lies in a block inside the outside points")
-            abc.append(a)
-        if len(set(abc)) != 3:
-            raise StsError(f"shadow of {(x, y, z)} degenerate: {abc}")
-        shadow[(x, y, z)] = canonical_block(abc)
-    return shadow
-
-
-def shadow_preimages(system: TripleSystem) -> dict[Triple, list[Triple]]:
-    """Inverse multimap of :func:`outside_shadow`."""
-    inv: dict[Triple, list[Triple]] = {}
-    for xyz, abc in outside_shadow(system).items():
-        inv.setdefault(abc, []).append(xyz)
-    return {k: sorted(v) for k, v in inv.items()}
-
-
 def parallel_classes(system: TripleSystem) -> list[list[Triple]]:
     """All parallel classes (spanning sets of v/3 disjoint blocks), sorted:
     the exact covers of the v points by the blocks."""
@@ -169,9 +139,6 @@ class Resolution:
             pts = sorted(x for b in cls for x in b)
             if pts != list(range(self.sts.v)):
                 raise StsError(f"class {cls} does not partition the point set")
-
-    def class_sets(self) -> list[frozenset[Triple]]:
-        return [frozenset(c) for c in self.classes]
 
     def to_json(self) -> dict:
         index = {b: i for i, b in enumerate(self.sts.blocks)}
@@ -205,19 +172,13 @@ def sts_automorphism_group15(system: TripleSystem) -> PermGroup:
 
 
 def structured_automorphism_group61(system: TripleSystem) -> PermGroup:
-    """Oracle for #61-shaped systems: fix inf, extend each common
-    automorphism of the two inner Fano planes by sigma(n') = sigma(n)'."""
-    blocks = system.block_set()
-    elems = []
-    for small in common_automorphism_group(fano_b1(), fano_b2()):
-        images = [small(n) for n in range(7)]
-        images += [small(n) + 7 for n in range(7)]
-        images.append(INFINITY)
-        sigma = Perm(tuple(images))
-        mapped = {tuple(sorted(sigma(x) for x in b)) for b in system.blocks}
-        if mapped == blocks:
-            elems.append(sigma)
-    return group_from_elements(15, elems)
+    """Oracle for #61-shaped systems: fix inf, extend each common automorphism
+    of the two inner Fano planes by sigma(n') = sigma(n)', keep those fixing the blocks."""
+    lifts = [
+        Perm(small.images + tuple(n + 7 for n in small.images) + (INFINITY,))
+        for small in common_automorphism_group(fano_b1(), fano_b2())
+    ]
+    return stabilizer(15, lifts, frozenset(map(frozenset, system.blocks)))
 
 
 def restriction_to_p(group: PermGroup) -> PermGroup:
@@ -240,14 +201,6 @@ def restriction_to_p(group: PermGroup) -> PermGroup:
 
 
 def kts_automorphism_group(resolution: Resolution) -> PermGroup:
-    """STS automorphisms that permute the parallel classes."""
-    classes = set(resolution.class_sets())
-    keep = []
-    for sigma in sts_automorphism_group15(resolution.sts):
-        images = {
-            frozenset(canonical_block(sigma(x) for x in b) for b in cls)
-            for cls in resolution.class_sets()
-        }
-        if images == classes:
-            keep.append(sigma)
-    return group_from_elements(15, keep)
+    """STS automorphisms that stabilize the set of parallel classes."""
+    classes = frozenset(frozenset(map(frozenset, cls)) for cls in resolution.classes)
+    return stabilizer(15, sts_automorphism_group15(resolution.sts), classes)

@@ -73,7 +73,7 @@ class Octonion:
     coeffs: tuple[int, int, int, int, int, int, int, int]
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) != 8 or not all(isinstance(c, int) for c in self.coeffs):
+        if len(self.coeffs) != 8 or not all(type(c) is int for c in self.coeffs):
             raise ValueError(f"need 8 integer coefficients, got {self.coeffs}")
 
     def __add__(self, other: "Octonion") -> "Octonion":
@@ -87,7 +87,7 @@ class Octonion:
 
 
 def octonion(coeffs: Sequence[int]) -> Octonion:
-    return Octonion(tuple(int(c) for c in coeffs))
+    return Octonion(tuple(coeffs))
 
 
 ZERO = Octonion((0,) * 8)
@@ -96,6 +96,8 @@ ONE = Octonion((1, 0, 0, 0, 0, 0, 0, 0))
 
 def unit(i: int) -> Octonion:
     """The basis octonion e_i (index 0 gives the real unit)."""
+    if type(i) is not int or not 0 <= i <= 7:
+        raise ValueError(f"basis index {i!r} is not an integer in 0..7")
     c = [0] * 8
     c[i] = 1
     return Octonion(tuple(c))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .perms import Perm, PermGroup, group_from_elements
+from .perms import Perm, PermGroup, stabilizer
 from .steiner import (
     StsError,
     Triple,
@@ -115,14 +115,6 @@ def validate_orientation(plane: TripleSystem, arcs: Iterable[Arc]) -> OrientedFa
     return OrientedFano(plane, arc_set)
 
 
-def orientation_from_json(plane: TripleSystem, data: dict) -> OrientedFano:
-    """Read {"arcs": [[x, y], ...]}, naming the field at fault in a bad one."""
-    arcs = data.get("arcs") if isinstance(data, dict) else None
-    if not isinstance(arcs, list) or not all(isinstance(a, list) and len(a) == 2 for a in arcs):
-        raise OrientationError(f"'arcs' must be a list of [x, y] point pairs, got {data!r}")
-    return validate_orientation(plane, [tuple(a) for a in arcs])
-
-
 def qr_orientation() -> OrientedFano:
     """The quadratic-residue orientation of the translates of {0,1,3}:
     x -> y iff y - x in {1,2,4} (mod 7)."""
@@ -183,13 +175,8 @@ def map_orientation(sigma: Perm, oriented: OrientedFano) -> OrientedFano:
 
 
 def oriented_automorphism_group(oriented: OrientedFano) -> PermGroup:
-    """Plane automorphisms that preserve the arc set."""
-    keep = [
-        p
-        for p in isomorphisms(oriented.plane, oriented.plane)
-        if frozenset((p(x), p(y)) for (x, y) in oriented.arcs) == oriented.arcs
-    ]
-    return group_from_elements(7, keep)
+    """Plane automorphisms that stabilize the arcs, as ordered pairs."""
+    return stabilizer(7, isomorphisms(oriented.plane, oriented.plane), oriented.arcs)
 
 
 def reverse(oriented: OrientedFano) -> OrientedFano:

@@ -12,7 +12,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .perms import Perm, PermGroup, group_from_elements
+from .perms import Perm, PermGroup, _unchecked, group_from_elements, stabilizer
 
 Triple = tuple[int, int, int]
 ThirdTable = tuple[tuple[int, ...], ...]
@@ -239,12 +239,12 @@ def isomorphisms(s1: TripleSystem, s2: TripleSystem) -> list[Perm]:
 
     Runs the search kernel compiled for s1, a straight-line function built
     on first use and kept for the last 64 source systems (see
-    :func:`_isomorphism_kernel`), on the third-point table of s2.  Each
-    map is returned as a validated Perm.
+    :func:`_isomorphism_kernel`), on the third-point table of s2.  Its
+    checks prove each image tuple a bijection, so Perm's own check is skipped.
     """
     if s1.v != s2.v:
         raise PointSetMismatch(s1.v, s2.v)
-    return [Perm(images) for images in sorted(_isomorphism_kernel(s1)(s2.third_table))]
+    return list(map(_unchecked, sorted(_isomorphism_kernel(s1)(s2.third_table))))
 
 
 @lru_cache(maxsize=64)
@@ -325,16 +325,10 @@ def automorphism_group(system: TripleSystem) -> PermGroup:
 
 
 def common_automorphism_group(s1: TripleSystem, s2: TripleSystem) -> PermGroup:
-    """Permutations fixing both block sets."""
+    """Automorphisms of s1 that stabilize the blocks of s2, as point sets."""
     if s1.v != s2.v:
         raise PointSetMismatch(s1.v, s2.v)
-    b2 = s2.block_set()
-    common = [
-        p
-        for p in isomorphisms(s1, s1)
-        if all(tuple(sorted((p(a), p(b), p(c)))) in b2 for (a, b, c) in s2.blocks)
-    ]
-    return group_from_elements(s1.v, common)
+    return stabilizer(s1.v, isomorphisms(s1, s1), frozenset(map(frozenset, s2.blocks)))
 
 
 def exact_covers(
@@ -392,18 +386,6 @@ def orthogonal_mates(plane: TripleSystem) -> list[TripleSystem]:
         raise StsError(f"orthogonal mates are defined for v=7, got v={plane.v}")
     mine = plane.block_set()
     return [s for s in all_fano_planes() if not (s.block_set() & mine)]
-
-
-def disjoint_mate_block(
-    f: TripleSystem, s: TripleSystem, block: Triple
-) -> Triple:
-    """For a block of f, the unique block of s disjoint from it."""
-    mates = [b for b in s.blocks if not (set(b) & set(block))]
-    if len(mates) != 1:
-        raise StsError(
-            f"expected a unique disjoint block for {block}, found {len(mates)}"
-        )
-    return mates[0]
 
 
 def orthogonal_partition(

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -15,19 +16,16 @@ from fano21.steiner import (
 )
 from fano21.kirkman import (
     BASE_PARALLEL_CLASS_61,
-    FINITE,
     INFINITY,
     Resolution,
     doubling15,
     fano_subplanes,
     kts_automorphism_group,
-    outside_shadow,
     parallel_classes,
     parse_point,
     point_name,
     resolution_61,
     restriction_to_p,
-    shadow_preimages,
     sts15_61,
     sts_automorphism_group15,
     structured_automorphism_group61,
@@ -42,6 +40,13 @@ def test_point_names_round_trip():
     for p in range(15):
         assert parse_point(point_name(p)) == p
     assert parse_point("oo") == INFINITY
+
+
+@pytest.mark.parametrize("name", ["7'", "9", "15", "-1'"])
+def test_parse_point_rejects_names_outside_the_points(name):
+    # these once parsed as 14 (inf), 2', 8' and the point 6
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        parse_point(name)
 
 
 def test_sts15_61_basics(sts61):
@@ -62,7 +67,7 @@ def test_unique_fano_subplane(sts61, b1):
     planes = fano_subplanes(sts61)
     assert len(planes) == 1
     points, inner = planes[0]
-    assert points == FINITE
+    assert points == tuple(range(7))
     assert inner == b1
 
 
@@ -99,34 +104,6 @@ def test_fano_subplanes_of_other_systems(ag23, b1):
     assert fano_subplanes(b1) == [(tuple(range(7)), b1)]
 
 
-def test_outside_shadow_of_primed_triples(sts61):
-    shadow = outside_shadow(sts61)
-    assert len(shadow) == 56
-    # {i', (i+1)', (i+3)'} casts the shadow {i+2, i+4, i+5}
-    for i in range(7):
-        xyz = tuple(sorted((i % 7 + 7, (i + 1) % 7 + 7, (i + 3) % 7 + 7)))
-        abc = tuple(sorted(((i + 2) % 7, (i + 4) % 7, (i + 5) % 7)))
-        assert shadow[xyz] == abc
-
-
-def test_shadow_preimages_structure(sts61, b1):
-    inv = shadow_preimages(sts61)
-    assert sum(len(v) for v in inv.values()) == 56
-    fano_blocks = b1.block_set()
-    negated = {
-        tuple(sorted((-x) % 7 for x in b)) for b in fano_blocks
-    }
-    for abc in combinations(range(7), 3):
-        pre = inv[abc]
-        if abc in fano_blocks or abc in negated:
-            # blocks of the plane or its negative: one preimage, all primed
-            assert len(pre) == 1
-            assert all(7 <= p < 14 for p in pre[0])
-        else:
-            assert len(pre) == 2
-            assert INFINITY in pre[0] + pre[1]
-
-
 def test_parallel_classes(sts61, ag23):
     classes = parallel_classes(sts61)
     assert len(classes) == 7
@@ -146,7 +123,7 @@ def test_resolution_61(sts61):
     assert res.sts == sts61
     assert len(res.classes) == 7
     # the classes are exactly the seven parallel classes of the system
-    assert sorted(res.class_sets(), key=sorted) == sorted(
+    assert sorted(map(frozenset, res.classes), key=sorted) == sorted(
         (frozenset(map(tuple, c)) for c in parallel_classes(sts61)), key=sorted
     )
 
@@ -204,7 +181,7 @@ def test_kts_automorphism_group(sts61):
     assert g.elements == sts_automorphism_group15(sts61).elements
     # translation by one permutes the classes in a single 7-cycle
     t = translation15(1)
-    classes = res.class_sets()
+    classes = [frozenset(c) for c in res.classes]
     image = {
         cls: frozenset(tuple(sorted(t(x) for x in b)) for b in cls)
         for cls in classes

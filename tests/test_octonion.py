@@ -64,6 +64,22 @@ def test_unit_point_mapping():
         point_to_unit(7)
 
 
+def test_coefficients_are_exact_integers():
+    assert octonion([1, 0, 0, 0, 0, 0, 0, 0]) == ONE
+    # 1.9 was truncated to 1, and True was kept as a coefficient
+    for bad in (1.9, True):
+        with pytest.raises(ValueError, match="integer coefficients"):
+            octonion([bad, 0, 0, 0, 0, 0, 0, 0])
+
+
+def test_unit_index_range():
+    assert [unit(i).coeffs.index(1) for i in range(8)] == list(range(8))
+    # -1 gave e7 and 8 a bare IndexError
+    for i in (-1, 8, 1.0):
+        with pytest.raises(ValueError, match=f"basis index {i!r}"):
+            unit(i)
+
+
 def test_basis_products():
     assert basis_product(1, 2) == (1, 4)
     assert basis_product(2, 1) == (-1, 4)

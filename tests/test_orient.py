@@ -27,7 +27,6 @@ from fano21.orient import (
     circuits_of_orientation,
     derived_plane,
     map_orientation,
-    orientation_from_json,
     orientation_from_mate,
     oriented_automorphism_group,
     qr_orientation,
@@ -278,17 +277,7 @@ def test_three_block_determination_oracle(b1):
 def test_orientation_json_round_trip(b1, qr):
     data = qr.to_json()
     assert data["points"] == 7 and len(data["arcs"]) == 21
-    assert orientation_from_json(b1, data).arcs == qr.arcs
-
-
-@pytest.mark.parametrize(
-    "data",
-    [{}, {"arcs": 5}, {"arcs": [[0, 1, 2]]}, {"arcs": [[0, 1], 3]}, [[0, 1]]],
-    ids=["no-arcs", "arcs-not-a-list", "three-point-arc", "arc-not-a-list", "not-an-object"],
-)
-def test_orientation_from_json_names_the_bad_field(b1, data):
-    with pytest.raises(OrientationError, match="'arcs' must be a list of \\[x, y\\] point pairs"):
-        orientation_from_json(b1, data)
+    assert validate_orientation(b1, [tuple(a) for a in data["arcs"]]).arcs == qr.arcs
 
 
 def test_enumerations_match_sweeps_on_all_planes(all_planes):

@@ -4,7 +4,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fano21 import embed, orient, steiner
+from fano21 import embed, kirkman, orient, steiner
 from fano21.perms import (
     DegreeMismatch,
     NotAPermutation,
@@ -17,6 +17,7 @@ from fano21.perms import (
     group_from_elements,
     identity,
     perm_from_cycles,
+    stabilizer,
 )
 
 LAMBDA2 = affine_perm(7, 2, 0)
@@ -250,3 +251,29 @@ def test_returned_groups_satisfy_the_axioms(images):
     ]:
         assert group.order == order
         _assert_group_axioms(group)
+
+
+def test_stabilizer_of_the_mate_blocks_is_f21(b1, b2):
+    aut = steiner.isomorphisms(b1, b1)
+    blocks = frozenset(map(frozenset, b2.blocks))
+    assert stabilizer(7, aut, blocks).elements == affine_group(7, {1, 2, 4}).elements
+
+
+def test_stabilizer_reads_tuples_in_order(b1, qr):
+    # an arc keeps its direction; read as a set it is an edge of K7, and
+    # every automorphism of the plane permutes the 21 edges
+    aut = steiner.isomorphisms(b1, b1)
+    assert stabilizer(7, aut, qr.arcs).order == 21
+    assert stabilizer(7, aut, frozenset(map(frozenset, qr.arcs))).order == 168
+
+
+def test_stabilizer_of_nested_classes(sts61, ag23):
+    res = kirkman.resolution_61()
+    classes = frozenset(frozenset(map(frozenset, cls)) for cls in res.classes)
+    assert stabilizer(15, steiner.isomorphisms(sts61, sts61), classes).order == 21
+    # Aut(AG(2,3)) permutes its 4 parallel classes as S4; only the
+    # translations and x -> -x fix each class
+    aut = steiner.isomorphisms(ag23, ag23)
+    classes = [frozenset(map(frozenset, cls)) for cls in kirkman.parallel_classes(ag23)]
+    assert stabilizer(9, aut, frozenset(classes)).order == 432
+    assert stabilizer(9, aut, *classes).order == 18

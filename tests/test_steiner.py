@@ -23,7 +23,6 @@ from fano21.steiner import (
     common_automorphism_group,
     cyclic_sts,
     cyclic_sts13,
-    disjoint_mate_block,
     exact_covers,
     fano_b1,
     fano_b2,
@@ -190,6 +189,7 @@ def test_isomorphisms_onto_relabelling(make, count, data):
     maps = isomorphisms(system, target)
     assert len(maps) == count
     for p in maps:
+        assert sorted(p.images) == list(range(system.v))
         image = {tuple(sorted(map(p, b))) for b in system.blocks}
         assert image == target.block_set()
 
@@ -250,6 +250,15 @@ def test_common_automorphism_group(b1, b2):
     assert g.order == 21 and not g.is_abelian()
     assert g.elements == affine_group(7, {1, 2, 4}).elements
     assert common_automorphism_group(b1, b1).order == 168
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.permutations(range(7)), st.integers(0, 7))
+def test_common_automorphism_group_matches_a_filter(b1, tau, index):
+    tau = Perm(tuple(tau))
+    s1, s2 = map_sts(tau, b1), map_sts(tau, orthogonal_mates(b1)[index])
+    keep = [p for p in isomorphisms(s1, s1) if map_sts(p, s2) == s2]
+    assert common_automorphism_group(s1, s2).elements == tuple(keep)
 
 
 def test_common_automorphism_group_sts13():
@@ -365,10 +374,6 @@ def test_orthogonal_partition(b1, b2):
 def test_orthogonal_partition_requires_orthogonality(b1):
     with pytest.raises(StsError):
         orthogonal_partition(b1, b1, 0)
-
-
-def test_disjoint_mate_block(b1, b2):
-    assert disjoint_mate_block(b1, b2, (0, 1, 3)) == (2, 4, 5)
 
 
 def test_json_round_trip(b1):
