@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from . import embed, kirkman, octonion, orient, steiner
-from .perms import Perm, affine_group, classify_order21, compose, identity
+from .perms import Perm, affine_group, classify_order21
 
 
 @dataclass

@@ -23,14 +23,14 @@ Table = tuple[tuple[SignedBasis, ...], ...]
 
 
 def unit_to_point(i: int) -> int:
-    if not 1 <= i <= 7:
-        raise ValueError(f"imaginary unit index out of range: {i}")
+    if type(i) is not int or not 1 <= i <= 7:
+        raise ValueError(f"imaginary unit index {i!r} is not an integer in 1..7")
     return i % 7
 
 
 def point_to_unit(p: int) -> int:
-    if not 0 <= p <= 6:
-        raise ValueError(f"plane point out of range: {p}")
+    if type(p) is not int or not 0 <= p <= 6:
+        raise ValueError(f"plane point {p!r} is not an integer in 0..6")
     return 7 if p == 0 else p
 
 

@@ -10,7 +10,7 @@ bijection onto the 8 orthogonal mates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
 from .perms import Perm, PermGroup, stabilizer
@@ -23,7 +23,6 @@ from .steiner import (
     exact_covers,
     isomorphisms,
     map_sts,
-    orthogonal_partition,
     validate_sts,
 )
 
@@ -89,11 +88,17 @@ class OrientedFano:
 
 
 def validate_orientation(plane: TripleSystem, arcs: Iterable[Arc]) -> OrientedFano:
-    """Check that every arc point is a plain int in 0..6, then the
+    """Check that every arc is a pair of plain ints in 0..6, then the
     tournament, block-cyclicity and out-closure axioms."""
     if plane.v != 7:
         raise StsError(f"orientations are defined for v=7, got v={plane.v}")
-    arc_list = [(x, y) for (x, y) in arcs]
+    arc_list = []
+    for arc in arcs:
+        try:
+            x, y = arc
+        except (TypeError, ValueError):
+            raise OrientationError(f"arc {arc!r} is not a pair of points") from None
+        arc_list.append((x, y))
     for x in (x for arc in arc_list for x in arc):
         if type(x) is not int or not 0 <= x <= 6:
             raise OrientationError(f"arc point {x!r} is not an integer in 0..6")
@@ -134,29 +139,32 @@ def derived_plane(oriented: OrientedFano) -> TripleSystem:
 
 
 def orientation_from_mate(f: TripleSystem, s: TripleSystem) -> OrientedFano:
-    """The unique orientation of f whose derived plane is s.
-
-    For each point v, the partition {v} | T_f | T_s forces v -> each
-    point of T_f.
-    """
-    arcs = []
-    for v in range(7):
-        t_f, _t_s = orthogonal_partition(f, s, v)
-        arcs.extend((v, a) for a in t_f)
-    oriented = validate_orientation(f, arcs)
+    """The unique orientation of f whose derived plane is s: the cover of
+    :func:`all_orientations` with the in-neighbors drawn from the blocks of
+    s.  Orthogonality leaves exactly one cover."""
+    if not are_orthogonal(f, s)["orthogonal"]:
+        raise StsError("inputs are not orthogonal Fano planes")
+    (oriented,) = _orientations(f, s.block_set())
     if derived_plane(oriented) != s:
         raise AssertionError("mate round trip failed")
     return oriented
 
 
 def all_orientations(plane: TripleSystem) -> list[OrientedFano]:
-    """All 8 orientations, sorted by arcs: the exact covers of the 7
-    points and 21 pairs by the choices (x, B) of a block B not through x
-    as the out-neighbors of x, each covering x and {x, y} for y in B.
-    Each cover is block-cyclic: B meets each block through x in one point."""
+    """All 8 orientations, sorted by arcs."""
+    return _orientations(plane, frozenset(combinations(range(7), 3)))
+
+
+def _orientations(plane: TripleSystem, ins: frozenset[Triple]) -> list[OrientedFano]:
+    """The exact covers of the 7 points and 21 pairs by the choices (x, B)
+    of a block B not through x as the out-neighbors of x, with the rest
+    {0..6} - {x} - B in ins, each covering x and {x, y} for y in B; sorted
+    by arcs.  Each cover is block-cyclic: B meets each block through x in
+    one point."""
     if plane.v != 7:
         raise StsError(f"orientations are defined for v=7, got v={plane.v}")
-    choices = [(x, b) for x in range(7) for b in plane.blocks if x not in b]
+    choices = [(x, b) for x in range(7) for b in plane.blocks
+               if x not in b and canonical_block(set(range(7)) - {x, *b}) in ins]
     items = list(range(7)) + list(combinations(range(7), 2))
     subsets = [[x] + [(min(x, y), max(x, y)) for y in b] for x, b in choices]
     found = [
@@ -246,43 +254,31 @@ def circuit_to_orientation(plane: TripleSystem, circuit: FanoCircuit) -> Oriente
 
 
 def circuits_of_orientation(oriented: OrientedFano) -> list[FanoCircuit]:
-    """The three circuits starting at 0, one per choice of the second
-    point among the out-neighbors of 0."""
-    plane = oriented.plane
-    other = derived_plane(oriented).block_set()
-    blocks = plane.block_set()
-    out = []
-    for x2 in oriented.out_neighbors(0):
-        seq = [0, x2]
-        while len(seq) < 7:
-            prev, cur = seq[-2], seq[-1]
-            cands = [
-                y
-                for y in oriented.out_neighbors(cur)
-                if tuple(sorted((prev, cur, y))) not in blocks
-                and tuple(sorted((prev, cur, y))) not in other
-            ]
-            if len(cands) != 1:
-                raise AssertionError(
-                    f"successor not unique after {seq}: {cands}"
-                )
-            seq.append(cands[0])
-        circuit = validate_circuit(plane, seq)
-        if circuit_to_orientation(plane, circuit).arcs != oriented.arcs:
-            raise AssertionError(f"circuit {seq} does not induce its orientation")
-        out.append(circuit)
-    return sorted(out, key=lambda c: c.seq)
+    """The three circuits that induce the orientation: the covers of
+    :func:`all_circuits` restricted to the darts that are arcs, since a
+    circuit induces an orientation exactly when, in one of its two
+    directions, every consecutive pair is an arc."""
+    out = _circuits(oriented.plane, oriented.arcs)
+    for circuit in out:
+        if circuit_to_orientation(oriented.plane, circuit).arcs != oriented.arcs:
+            raise AssertionError(f"circuit {circuit.seq} does not induce its orientation")
+    return out
 
 
 def all_circuits(plane: TripleSystem) -> list[FanoCircuit]:
-    """All Fano circuits up to rotation and reversal (there are 24): the
-    exact covers of the items i (block i is used), 7 + x (x has a
-    successor) and 14 + y (y has a predecessor) by the 42 darts (x, y).
-    Each cover is one 7-cycle, as shorter cycles would use a block twice.
-    The count does not use the orientations."""
+    """All Fano circuits up to rotation and reversal (there are 24).  The
+    count does not use the orientations."""
+    return _circuits(plane, frozenset(permutations(range(7), 2)))
+
+
+def _circuits(plane: TripleSystem, arcs: frozenset[Arc]) -> list[FanoCircuit]:
+    """The circuits of the exact covers of the items i (block i is used),
+    7 + x (x has a successor) and 14 + y (y has a predecessor) by the
+    darts (x, y) in arcs, sorted.  Each cover is one 7-cycle, as shorter
+    cycles would use a block twice."""
     if plane.v != 7:
         raise StsError(f"Fano circuits are defined for v=7, got v={plane.v}")
-    darts = [(x, y, i) for i, b in enumerate(plane.blocks) for x in b for y in b if x != y]
+    darts = [(x, y, i) for i, b in enumerate(plane.blocks) for x in b for y in b if (x, y) in arcs]
     found: dict[tuple[int, ...], FanoCircuit] = {}
     for cover in exact_covers(range(21), [(i, 7 + x, 14 + y) for x, y, i in darts]):
         succ = dict(darts[d][:2] for d in cover)

@@ -386,25 +386,3 @@ def orthogonal_mates(plane: TripleSystem) -> list[TripleSystem]:
         raise StsError(f"orthogonal mates are defined for v=7, got v={plane.v}")
     mine = plane.block_set()
     return [s for s in all_fano_planes() if not (s.block_set() & mine)]
-
-
-def orthogonal_partition(
-    f: TripleSystem, s: TripleSystem, point: int
-) -> tuple[Triple, Triple]:
-    """The unique (T_f, T_s) with {point} | T_f | T_s partitioning the 7 points."""
-    flags = are_orthogonal(f, s)
-    if not flags["orthogonal"]:
-        raise StsError("inputs are not orthogonal Fano planes")
-    found = []
-    for bf in f.blocks:
-        if point in bf:
-            continue
-        for bs in s.blocks:
-            if point in bs or set(bf) & set(bs):
-                continue
-            found.append((bf, bs))
-    if len(found) != 1:
-        raise StsError(
-            f"expected a unique partition at point {point}, found {len(found)}"
-        )
-    return found[0]

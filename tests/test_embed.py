@@ -12,7 +12,6 @@ from fano21.embed import (
     NotTriangular,
     NotTwoColorable,
     RotationError,
-    classical_rotation,
     classify_triangular,
     color_automorphism_group,
     embedding_automorphism_group,

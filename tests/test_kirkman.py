@@ -9,8 +9,6 @@ from fano21.steiner import (
     StsError,
     common_automorphism_group,
     cyclic_sts13,
-    fano_b1,
-    fano_b2,
     map_sts,
     validate_sts,
 )
@@ -26,7 +24,6 @@ from fano21.kirkman import (
     point_name,
     resolution_61,
     restriction_to_p,
-    sts15_61,
     sts_automorphism_group15,
     structured_automorphism_group61,
     translation15,

@@ -64,6 +64,19 @@ def test_unit_point_mapping():
         point_to_unit(7)
 
 
+def test_unit_point_mapping_rejects_non_integers():
+    # 1.5 and True were returned as points, False as the unit 7
+    for bad in (1.5, True, 7.0):
+        with pytest.raises(ValueError, match=f"imaginary unit index {bad!r} is not"):
+            unit_to_point(bad)
+    for bad in (2.0, False):
+        with pytest.raises(ValueError, match=f"plane point {bad!r} is not"):
+            point_to_unit(bad)
+    # basis_product(1.5, 2) escaped as a TypeError
+    with pytest.raises(ValueError, match="imaginary unit index 1.5 is not"):
+        basis_product(1.5, 2)
+
+
 def test_coefficients_are_exact_integers():
     assert octonion([1, 0, 0, 0, 0, 0, 0, 0]) == ONE
     # 1.9 was truncated to 1, and True was kept as a coefficient

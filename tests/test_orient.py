@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import permutations, product
 
 import pytest
@@ -7,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 from fano21.cli import main
 from fano21.perms import Perm, affine_perm, identity
 from fano21.steiner import (
+    StsError,
     common_automorphism_group,
+    cyclic_sts13,
     isomorphisms,
     map_sts,
+    negate_sts,
     orthogonal_mates,
     validate_sts,
 )
@@ -29,7 +33,6 @@ from fano21.orient import (
     map_orientation,
     orientation_from_mate,
     oriented_automorphism_group,
-    qr_orientation,
     reverse,
     validate_circuit,
     validate_orientation,
@@ -134,13 +137,31 @@ def test_derived_plane_lettered_example():
     assert derived_plane(o) == expected
 
 
-def test_orientation_from_mate_round_trips(b1, b2, qr):
+def test_orientation_from_mate_partitions_each_point(b1, b2):
+    o = orientation_from_mate(b1, b2)
+    assert (o.out_neighbors(0), o.in_neighbors(0)) == ((1, 2, 4), (3, 5, 6))
+    for v in range(7):
+        outs, ins = o.out_neighbors(v), o.in_neighbors(v)
+        assert sorted((v, *outs, *ins)) == list(range(7))
+        assert outs in b1.block_set() and ins in b2.block_set()
+
+
+def test_orientation_from_mate_requires_orthogonality(b1):
+    with pytest.raises(StsError, match="^inputs are not orthogonal Fano planes$"):
+        orientation_from_mate(b1, b1)
+    sts = cyclic_sts13()
+    with pytest.raises(StsError, match="defined for v=7, got v=13"):
+        orientation_from_mate(sts, negate_sts(sts))
+
+
+def test_orientation_from_mate_round_trips(b1, b2, qr, all_planes):
     assert orientation_from_mate(b1, b2).arcs == qr.arcs
     for s in orthogonal_mates(b1):
         o = orientation_from_mate(b1, s)
         assert derived_plane(o) == s
-    for o in all_orientations(b1):
-        assert orientation_from_mate(b1, derived_plane(o)).arcs == o.arcs
+    for plane in all_planes:
+        for o in all_orientations(plane):
+            assert orientation_from_mate(plane, derived_plane(o)) == o
 
 
 def test_all_orientations(b1, qr):
@@ -249,12 +270,17 @@ def test_circuit_window_not_a_block(b1):
             assert window not in blocked
 
 
-def test_circuits_of_orientation(b1, qr):
+def test_circuits_of_orientation(b1, qr, all_planes):
     three = circuits_of_orientation(qr)
     assert len(three) == 3
     assert (0, 1, 2, 3, 4, 5, 6) in [c.seq for c in three]
     for c in three:
         assert circuit_to_orientation(b1, c).arcs == qr.arcs
+    for plane in all_planes:
+        circuits = all_circuits(plane)
+        for o in all_orientations(plane):
+            induced = [c for c in circuits if circuit_to_orientation(plane, c) == o]
+            assert circuits_of_orientation(o) == induced
 
 
 def test_three_block_determination_oracle(b1):
@@ -345,6 +371,12 @@ def test_validate_orientation_rejects_bad_points(b1, bad):
     arcs = [(bad, 1) if arc == (0, 1) else arc for arc in QR_ARCS]
     with pytest.raises(OrientationError, match=f"arc point {bad!r} is not"):
         validate_orientation(b1, arcs)
+
+
+@pytest.mark.parametrize("bad", [(0, 1, 0), 5, (0,)])
+def test_validate_orientation_rejects_malformed_arcs(b1, bad):
+    with pytest.raises(OrientationError, match=re.escape(f"arc {bad!r} is not a pair")):
+        validate_orientation(b1, QR_ARCS[:-1] + [bad])
 
 
 def test_validate_orientation_rejects_a_stray_arc(b1):

@@ -31,7 +31,6 @@ from fano21.steiner import (
     map_sts,
     negate_sts,
     orthogonal_mates,
-    orthogonal_partition,
     sts_from_json,
     validate_sts,
 )
@@ -361,19 +360,6 @@ def test_common_aut_is_subgroup_of_aut(b1, b2):
     common, full = common_automorphism_group(b1, b2), automorphism_group(b1)
     assert common.is_subgroup_of(full)
     assert not full.is_subgroup_of(common)
-
-
-def test_orthogonal_partition(b1, b2):
-    assert orthogonal_partition(b1, b2, 0) == ((1, 2, 4), (3, 5, 6))
-    for p in range(7):
-        t_f, t_s = orthogonal_partition(b1, b2, p)
-        assert {p} | set(t_f) | set(t_s) == set(range(7))
-        assert not set(t_f) & set(t_s) and p not in t_f and p not in t_s
-
-
-def test_orthogonal_partition_requires_orthogonality(b1):
-    with pytest.raises(StsError):
-        orthogonal_partition(b1, b1, 0)
 
 
 def test_json_round_trip(b1):
