@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from typing import Sequence
 
 from . import certificates, embed, kirkman, octonion, orient, steiner
 from .kirkman import point_name
-from .perms import classify_order21
+from .perms import classify_order21, group_from_chain
 
 BUILTIN_DESIGNS = {
     "b1": steiner.fano_b1,
@@ -25,6 +26,7 @@ BUILTIN_DESIGNS = {
     "sts13": steiner.cyclic_sts13,
     "sts61": kirkman.sts15_61,
 }
+AUT_LIST_LIMIT = 20160  # aut lists a group's elements up to |Aut(PG(3,2))|
 BUILTIN_ROTATIONS = {"classical-rotation": embed.classical_rotation}
 # per kind of input: its builtins, its JSON reader, the errors of a bad file
 INPUTS = {
@@ -182,26 +184,28 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_aut(args: argparse.Namespace) -> int:
     design = _input_from_args(args, "design")
-    group = steiner.automorphism_group(design)
-    tag = None
-    if group.order == 21:
-        tag = classify_order21(group)
+    base, transversals = steiner.automorphism_chain(design)
+    order, lengths = math.prod(map(len, transversals)), [len(t) for t in transversals]
+    group = group_from_chain(design.v, transversals) if order <= AUT_LIST_LIMIT else None
+    tag = classify_order21(group) if order == 21 else None
+    listed = group or [u for b, t in zip(base, transversals) for u in t if u(b) != b]
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "order": group.order,
-                    "classification": tag,
-                    "elements": [p.to_json() for p in group],
-                }
-            )
-        )
-    else:
-        print(f"order: {group.order}")
-        if tag:
-            print(f"classification: {tag}")
-        for p in group:
-            print(p.cycle_string())
+        out = {"order": order, "classification": tag, "elements": None}
+        if group:
+            out["elements"] = [p.images for p in listed]
+        else:
+            out.update(base=base, orbit_lengths=lengths, generators=[p.images for p in listed])
+        print(json.dumps(out))
+        return 0
+    print(f"order: {order}")
+    if tag:
+        print(f"classification: {tag}")
+    if not group:
+        print("base:", *base)
+        print("orbit lengths:", *lengths)
+        print("transversal generators:")
+    for p in listed:
+        print(p.cycle_string())
     return 0
 
 

@@ -144,7 +144,7 @@ def orientation_from_mate(f: TripleSystem, s: TripleSystem) -> OrientedFano:
     s.  Orthogonality leaves exactly one cover."""
     if not are_orthogonal(f, s)["orthogonal"]:
         raise StsError("inputs are not orthogonal Fano planes")
-    (oriented,) = _orientations(f, s.block_set())
+    (oriented,) = _orientations(f, frozenset(map(frozenset, s.blocks)))
     if derived_plane(oriented) != s:
         raise AssertionError("mate round trip failed")
     return oriented
@@ -152,10 +152,10 @@ def orientation_from_mate(f: TripleSystem, s: TripleSystem) -> OrientedFano:
 
 def all_orientations(plane: TripleSystem) -> list[OrientedFano]:
     """All 8 orientations, sorted by arcs."""
-    return _orientations(plane, frozenset(combinations(range(7), 3)))
+    return _orientations(plane, frozenset(map(frozenset, combinations(range(7), 3))))
 
 
-def _orientations(plane: TripleSystem, ins: frozenset[Triple]) -> list[OrientedFano]:
+def _orientations(plane: TripleSystem, ins: frozenset[frozenset[int]]) -> list[OrientedFano]:
     """The exact covers of the 7 points and 21 pairs by the choices (x, B)
     of a block B not through x as the out-neighbors of x, with the rest
     {0..6} - {x} - B in ins, each covering x and {x, y} for y in B; sorted
@@ -163,8 +163,9 @@ def _orientations(plane: TripleSystem, ins: frozenset[Triple]) -> list[OrientedF
     one point."""
     if plane.v != 7:
         raise StsError(f"orientations are defined for v=7, got v={plane.v}")
+    seven = frozenset(range(7))
     choices = [(x, b) for x in range(7) for b in plane.blocks
-               if x not in b and canonical_block(set(range(7)) - {x, *b}) in ins]
+               if x not in b and seven - {x, *b} in ins]
     items = list(range(7)) + list(combinations(range(7), 2))
     subsets = [[x] + [(min(x, y), max(x, y)) for y in b] for x, b in choices]
     found = [

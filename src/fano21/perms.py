@@ -1,9 +1,9 @@
 """Permutations of {0..n-1} and exhaustively stored finite permutation groups.
 
 Composition convention: ``compose(p, q)`` applies ``q`` first, so
-``compose(p, q)(x) == p(q(x))``.  Groups are stored as full element lists
-(orders here never exceed 7! = 5040), sorted lexicographically by image
-tuple so that every enumeration is deterministic.
+``compose(p, q)(x) == p(q(x))``.  Groups are stored as full element lists,
+sorted lexicographically by image tuple so that every enumeration is
+deterministic, or as a base and transversals (:func:`group_from_chain`).
 """
 
 from __future__ import annotations
@@ -250,6 +250,19 @@ def group_from_elements(degree: int, elements: Iterable[Perm]) -> PermGroup:
         if images not in elems:
             raise ValueError("not closed under composition")
     return g
+
+
+def group_from_chain(degree: int, transversals: Sequence[Sequence[Perm]]) -> PermGroup:
+    """The products u_0 * u_1 * ... * u_{k-1}, u_i in transversals[i], which
+    list a group once each if the transversals form a chain down to the
+    identity (see :func:`fano21.steiner.automorphism_group`).  Level 0 takes
+    no ``itemgetter``, whose form for one index would return a bare int."""
+    first, *rest = transversals
+    products = [u.images for u in first]
+    for transversal in rest:
+        getters = [itemgetter(*u.images) for u in transversal]
+        products = [g(p) for p in products for g in getters]
+    return PermGroup(degree, tuple(map(_unchecked, products)))
 
 
 def _image(images: tuple[int, ...], x):

@@ -12,10 +12,11 @@ from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .perms import Perm, PermGroup, _unchecked, group_from_elements, stabilizer
+from .perms import Perm, PermGroup, _unchecked, group_from_chain, stabilizer
 
 Triple = tuple[int, int, int]
 ThirdTable = tuple[tuple[int, ...], ...]
+Chain = tuple[tuple[int, ...], tuple[tuple[Perm, ...], ...]]  # (base, transversals)
 
 
 class StsError(ValueError):
@@ -248,18 +249,18 @@ def isomorphisms(s1: TripleSystem, s2: TripleSystem) -> list[Perm]:
 
 
 @lru_cache(maxsize=64)
-def _isomorphism_kernel(s1: TripleSystem) -> Callable[[ThirdTable], list[tuple[int, ...]]]:
-    """The isomorphism search from s1, compiled to one straight-line
-    function of the third-point table t2 of a target system, returning
-    the image tuple of every isomorphism in the order found.
+def _isomorphism_kernel(s1: TripleSystem, first: bool = False) -> Callable[..., list[tuple]]:
+    """The isomorphism search from s1, compiled to one straight-line function
+    of the third-point table t2 of a target system, returning the image tuple
+    of every isomorphism in the order found, or with ``first`` of the first.
 
     The points of s1 are placed in their :func:`closure` order, the image
-    of point x held in the local ``ix``.  A base point loops over every
-    image not yet used; a derived point, the third point of an earlier
-    pair {a, b}, takes the one image ``t2[ia][ib]``, and the branch dies
-    if that is -1.  Every other block {a, b, c} of s1 is checked once,
-    where the last of its points, c, is placed: ``t2[ia][ib]`` must be
-    ``ic``.
+    of point x held in the local ``ix``.  Base point j loops over the images
+    in its domain ``dj`` (``range(v)`` unless passed) not yet used; a
+    derived point, the third point of an earlier pair {a, b}, takes the one
+    image ``t2[ia][ib]``, and the branch dies if that is -1.  Every other
+    block {a, b, c} of s1 is checked once, where the last of its points, c,
+    is placed: ``t2[ia][ib]`` must be ``ic``.
 
     These checks prove that a leaf is an isomorphism.  Each block of s1
     either defines a derived point or is checked, so its three images form
@@ -278,11 +279,13 @@ def _isomorphism_kernel(s1: TripleSystem) -> Callable[[ThirdTable], list[tuple[i
         pair = order[position[c]][1]
         if pair is None or {a, b} != set(pair):
             checks[position[c]].append(f"if t2[i{a}][i{b}] != i{c}: continue")
-    lines = ["def kernel(t2):", " out = []"]
+    base = [x for x, pair in order if pair is None]
+    domains = ", ".join(f"d{j}=range({s1.v})" for j in range(len(base)))
+    lines = [f"def kernel(t2, {domains}):", " out = []"]
     pad, placed = " ", []
     for (x, pair), tests in zip(order, checks):
         if pair is None:
-            lines.append(f"{pad}for i{x} in range({s1.v}):")
+            lines.append(f"{pad}for i{x} in d{base.index(x)}:")
             pad += " "
             if placed:
                 lines.append(f"{pad}if i{x} in ({', '.join(placed)},): continue")
@@ -291,8 +294,8 @@ def _isomorphism_kernel(s1: TripleSystem) -> Callable[[ThirdTable], list[tuple[i
             lines.append(f"{pad}if i{x} < 0: continue")
         lines += [pad + test for test in tests]
         placed.append(f"i{x}")
-    images = ", ".join(f"i{x}" for x in range(s1.v))
-    lines += [f"{pad}out.append(({images},))", " return out"]
+    leaf = f"({', '.join(f'i{x}' for x in range(s1.v))},)"
+    lines += [pad + (f"return [{leaf}]" if first else f"out.append({leaf})"), " return out"]
     exec("\n".join(lines), namespace := {})
     return namespace["kernel"]
 
@@ -320,8 +323,27 @@ def isomorphisms_bruteforce(s1: TripleSystem, s2: TripleSystem) -> list[Perm]:
     return sorted(out)
 
 
+def automorphism_chain(system: TripleSystem) -> Chain:
+    """Aut(system) as (base, transversals): the base points of :func:`closure`
+    and, per base point b_i and point y, the kernel's first map fixing the
+    earlier base points and sending b_i to y, if any (the identity if y = b_i)."""
+    first, table = _isomorphism_kernel(system, True), system.third_table
+    base = tuple(x for x, pair in closure(system, range(system.v)) if pair is None)
+    fixed = [[(a,) for a in base[:i]] for i in range(len(base))]
+    maps = [[first(table, *f, (y,)) for y in range(system.v)] for f in fixed]
+    return base, tuple(tuple(_unchecked(m[0]) for m in level if m) for level in maps)
+
+
 def automorphism_group(system: TripleSystem) -> PermGroup:
-    return group_from_elements(system.v, isomorphisms(system, system))
+    """Aut(system), listed from :func:`automorphism_chain` as the products
+    u_0 * u_1 * ... * u_{k-1}, u_i in transversals[i], with no closure check.
+    The products are automorphisms, as the u_i are.  They are pairwise
+    distinct and exhaust Aut, by induction down the base: the kernel search
+    is exhaustive, so an automorphism g fixing base[:i] sends base[i] where
+    exactly one u_i does, and u_i^-1 g fixes base[:i + 1].  An automorphism
+    fixing the whole base fixes its closure, every point, so is the
+    identity; and |Aut| is the product of the orbit lengths."""
+    return group_from_chain(system.v, automorphism_chain(system)[1])
 
 
 def common_automorphism_group(s1: TripleSystem, s2: TripleSystem) -> PermGroup:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from fano21 import steiner, orient, embed, kirkman
@@ -45,11 +47,32 @@ def ag23():
     ])
 
 
+def projective_space(n):
+    """PG(n-1,2): the nonzero vectors of GF(2)^n, point x - 1 for vector x,
+    with the lines {a, b, a + b}."""
+    return steiner.validate_sts(2 ** n - 1, sorted({
+        tuple(sorted((a - 1, b - 1, (a ^ b) - 1)))
+        for a in range(1, 2 ** n) for b in range(1, 2 ** n) if a != b
+    }))
+
+
 @pytest.fixture(scope="session")
 def pg32():
-    # the projective space PG(3,2): the nonzero vectors of GF(2)^4, point
-    # x - 1 for vector x, with the lines {a, b, a + b}
-    return steiner.validate_sts(15, sorted({
-        tuple(sorted((a - 1, b - 1, (a ^ b) - 1)))
-        for a in range(1, 16) for b in range(1, 16) if a != b
+    return projective_space(4)
+
+
+@pytest.fixture(scope="session")
+def pg42():
+    return projective_space(5)
+
+
+@pytest.fixture(scope="session")
+def ag33():
+    # the affine space AG(3,3): the vectors of GF(3)^3, point 9a + 3b + c
+    # for (a, b, c), with the lines {x, y, z}, x + y + z = 0
+    vectors = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+    return steiner.validate_sts(27, sorted({
+        tuple(sorted((vectors.index(x), vectors.index(y),
+                      vectors.index(tuple((-p - q) % 3 for p, q in zip(x, y))))))
+        for x, y in combinations(vectors, 2)
     }))

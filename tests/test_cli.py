@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import fano21
 from fano21 import certificates
-from fano21.cli import build_parser, main
+from fano21.cli import AUT_LIST_LIMIT, build_parser, main
 from fano21.kirkman import sts15_61
 
 
@@ -189,6 +190,43 @@ def test_aut_of_sts9(tmp_path, capsys):
     assert out.startswith("order: 432\n")
 
 
+@pytest.mark.parametrize("name, order", [("pg42", 9_999_360), ("ag33", 303_264)])
+def test_aut_on_large_designs(request, tmp_path, name, order):
+    # above the listing limit aut prints the chain: base, orbit lengths and
+    # the transversal elements that move their base point
+    system = request.getfixturevalue(name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(system.to_json()))
+    env = dict(os.environ, PYTHONPATH=str(Path(fano21.__file__).parents[1]))
+    outs = [subprocess.run([sys.executable, "-m", "fano21.cli", "aut", "--design", str(path),
+                            "--format", fmt], env=env, capture_output=True, text=True,
+                           timeout=60, check=True).stdout for fmt in ("json", "text")]
+    data = json.loads(outs[0])
+    assert (data["order"], data["classification"], data["elements"]) == (order, None, None)
+    assert math.prod(data["orbit_lengths"]) == order
+    blocks = system.block_set()
+    assert len(data["generators"]) == sum(data["orbit_lengths"]) - len(data["base"])
+    for images in data["generators"]:
+        assert sorted(images) == list(range(system.v))
+        assert {tuple(sorted(images[x] for x in b)) for b in system.blocks} == blocks
+    lines = outs[1].splitlines()
+    assert lines[:4] == [f"order: {order}", "base: " + " ".join(map(str, data["base"])),
+                         "orbit lengths: " + " ".join(map(str, data["orbit_lengths"])),
+                         "transversal generators:"]
+    assert len(lines) == 4 + len(data["generators"])
+
+
+def test_aut_lists_elements_up_to_the_limit(pg32, tmp_path, capsys):
+    # Aut(PG(3,2)), of order 20,160, is the largest group aut lists
+    path = tmp_path / "pg32.json"
+    path.write_text(json.dumps(pg32.to_json()))
+    code, out, _ = run(capsys, "aut", "--design", str(path), "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data.keys() == {"order", "classification", "elements"}
+    assert data["order"] == len(data["elements"]) == AUT_LIST_LIMIT == 20160
+
+
 def test_aut_of_inadmissible_order_exits_1(tmp_path, capsys):
     path = tmp_path / "v0.json"
     path.write_text(json.dumps({"v": 0, "blocks": []}))
@@ -335,26 +373,30 @@ _JSON = st.recursive(
     max_leaves=30,
 )
 
-# b1, AG(2,3) and #61: valid designs with v = 7, 9 and 15
+# b1, AG(2,3), #61 and PG(4,2): valid designs with v = 7, 9, 15 and 31.
+# AG(3,3) is left out: it has 17,641 parallel classes, which
+# `enumerate parallel-classes` takes about 0.5 s to list.
 _VALID = [
     [[0, 1, 3], [1, 2, 4], [2, 3, 5], [3, 4, 6], [0, 4, 5], [1, 5, 6], [0, 2, 6]],
     [[0, 1, 2], [3, 4, 5], [6, 7, 8], [0, 3, 6], [1, 4, 7], [2, 5, 8],
      [0, 4, 8], [2, 4, 6], [1, 5, 6], [2, 3, 7], [0, 5, 7], [1, 3, 8]],
     [list(b) for b in sts15_61().blocks],
+    sorted({tuple(sorted((a - 1, b - 1, (a ^ b) - 1)))  # point x - 1 for x in GF(2)^5
+            for a in range(1, 32) for b in range(1, 32) if a != b}),
 ]
 
 
-# design-shaped objects with v <= 15
+# design-shaped objects with v <= 31
 _SHAPED = st.fixed_dictionaries({
-    "v": st.integers(-1, 15) | _JSON,
-    "blocks": st.lists(st.lists(st.integers(-1, 15), max_size=4) | _JSON, max_size=40),
+    "v": st.integers(-1, 31) | _JSON,
+    "blocks": st.lists(st.lists(st.integers(-1, 31), max_size=4) | _JSON, max_size=40),
 })
 
 
 @st.composite
 def _relabelled_designs(draw):
-    """(design, whether it is valid): b1, AG(2,3) or #61 relabelled, perhaps
-    with one block dropped, or one point moved or written as a float."""
+    """(design, whether it is valid): b1, AG(2,3), #61 or PG(4,2) relabelled,
+    perhaps with one block dropped, or one point moved or written as a float."""
     blocks = draw(st.sampled_from(_VALID))
     v = max(map(max, blocks)) + 1
     sigma = draw(st.permutations(range(v)))

@@ -161,7 +161,7 @@ def test_group_from_elements_proof_is_linear_in_the_group(monkeypatch):
     # = 28,224 compositions.  The closure multiplies image tuples through
     # one itemgetter per generator, so each call of one is a product.
     import fano21.perms as perms
-    from fano21.steiner import automorphism_group, fano_b1
+    from fano21.steiner import fano_b1, isomorphisms
 
     calls = [0]
 
@@ -174,8 +174,9 @@ def test_group_from_elements_proof_is_linear_in_the_group(monkeypatch):
 
         return counted
 
+    elements = isomorphisms(fano_b1(), fano_b1())
     monkeypatch.setattr(perms, "itemgetter", counting_itemgetter)
-    assert automorphism_group(fano_b1()).order == 168
+    assert group_from_elements(7, elements).order == 168
     assert 0 < calls[0] <= 2000
 
 

@@ -9,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from fano21 import steiner
 from fano21.kirkman import sts15_61
-from fano21.perms import Perm, affine_group, affine_perm, compose
+from fano21.perms import (
+    Perm,
+    affine_group,
+    affine_perm,
+    compose,
+    generate_group,
+    group_from_elements,
+)
 from fano21.steiner import (
     BadBlockCount,
     PairCoveredTwice,
@@ -18,6 +25,7 @@ from fano21.steiner import (
     StsError,
     all_fano_planes,
     are_orthogonal,
+    automorphism_chain,
     automorphism_group,
     closure,
     common_automorphism_group,
@@ -130,6 +138,66 @@ def test_automorphism_group_of_pg32(pg32):
     blocks = pg32.block_set()
     for p in group:
         assert {tuple(sorted(map(p, b))) for b in pg32.blocks} == blocks
+
+
+@pytest.mark.parametrize("name, base, lengths", [
+    ("b1", (0, 1, 2), (7, 6, 4)),
+    ("ag23", (0, 1, 3), (9, 8, 6)),
+    ("sts13", (0, 1, 2), (13, 3, 1)),
+    ("sts61", (0, 1, 2, 7), (7, 3, 1, 1)),
+    ("pg32", (0, 1, 3, 7), (15, 14, 12, 8)),
+    ("ag33", (0, 1, 3, 9), (27, 26, 24, 18)),
+    ("pg42", (0, 1, 3, 7, 15), (31, 30, 28, 24, 16)),
+])
+def test_automorphism_chain(request, name, base, lengths):
+    system = cyclic_sts13() if name == "sts13" else request.getfixturevalue(name)
+    got_base, transversals = automorphism_chain(system)
+    assert got_base == base
+    assert tuple(map(len, transversals)) == lengths
+    blocks = system.block_set()
+    for i, (b, transversal) in enumerate(zip(base, transversals)):
+        images = [u(b) for u in transversal]
+        assert images == sorted(set(images))
+        assert transversal[images.index(b)] == Perm(tuple(range(system.v)))
+        for u in transversal:
+            assert all(u(a) == a for a in base[:i])
+            assert {tuple(sorted(map(u, block))) for block in system.blocks} == blocks
+
+
+@pytest.mark.parametrize("name", ["b1", "ag23", "sts13", "sts61", "pg32"])
+def test_automorphism_group_equals_the_listed_isomorphisms(request, name):
+    system = cyclic_sts13() if name == "sts13" else request.getfixturevalue(name)
+    listed = group_from_elements(system.v, isomorphisms(system, system))
+    assert automorphism_group(system).elements == listed.elements
+    # the transversal elements that move their base point generate the group
+    base, transversals = automorphism_chain(system)
+    generators = [u for b, t in zip(base, transversals) for u in t if u(b) != b]
+    assert generate_group(system.v, generators).elements == listed.elements
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_automorphism_group_of_relabellings(b1, ag23, sts61, data):
+    system = data.draw(st.sampled_from([b1, ag23, sts61]))
+    system = map_sts(Perm(tuple(data.draw(st.permutations(range(system.v))))), system)
+    listed = group_from_elements(system.v, isomorphisms(system, system))
+    assert automorphism_group(system).elements == listed.elements
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_first_map_kernel_returns_the_first_of_all_maps(all_planes, ag23, data):
+    # the same search with the same domains, stopped at its first leaf
+    s1, s2 = data.draw(st.sampled_from([
+        (all_planes[data.draw(st.integers(0, 29))], all_planes[data.draw(st.integers(0, 29))]),
+        (ag23, ag23),
+    ]))
+    bases = sum(pair is None for _, pair in closure(s1, range(s1.v)))
+    domains = [data.draw(st.lists(st.integers(0, s1.v - 1), max_size=3, unique=True))
+               for _ in range(data.draw(st.integers(0, bases)))]
+    every = steiner._isomorphism_kernel(s1)(s2.third_table, *domains)
+    first = steiner._isomorphism_kernel(s1, True)(s2.third_table, *domains)
+    assert first == every[:1]
 
 
 @settings(max_examples=5, deadline=None)
