@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
-from .perms import Perm, PermGroup, group_from_elements, stabilizer
+from .perms import Perm, PermGroup, _unchecked, stabilizer
 from .steiner import exact_covers
 
 PRESERVING = "Preserving"
@@ -245,32 +245,23 @@ def two_coloring(rotation: RotationSystem) -> ColoredFaceSet:
     vertex set is class A.
     """
     faces = trace_faces(rotation)
-    by_edge: dict[frozenset[int], list[int]] = {}
-    for i, f in enumerate(faces):
-        for (a, b) in f.edges():
-            by_edge.setdefault(frozenset((a, b)), []).append(i)
+    face_of = {dart: i for i, f in enumerate(faces) for dart in f.edges()}
     color = {0: 0}
     queue = [0]
     while queue:
         i = queue.pop()
+        # the face across edge {a, b} is the one holding the dart (b, a)
         for (a, b) in faces[i].edges():
-            for j in by_edge[frozenset((a, b))]:
-                if j not in color:
-                    color[j] = 1 - color[i]
-                    queue.append(j)
+            j = face_of[b, a]
+            if j not in color:
+                color[j] = 1 - color[i]
+                queue.append(j)
+            elif color[j] == color[i]:  # also where a face meets itself
+                raise NotTwoColorable()
     if len(color) != len(faces):
         raise AssertionError("face-adjacency graph of K_n must be connected")
-    class0 = tuple(f for i, f in enumerate(faces) if color[i] == 0)
-    class1 = tuple(f for i, f in enumerate(faces) if color[i] == 1)
-    # an edge bounded twice in one class: a face meets itself along it,
-    # or two faces of one color share it
-    for cls in (class0, class1):
-        bounded = [frozenset(e) for f in cls for e in f.edges()]
-        if len(set(bounded)) != len(bounded):
-            raise NotTwoColorable()
-    if min(f.vertex_set() for f in class0) <= min(f.vertex_set() for f in class1):
-        return ColoredFaceSet(class0, class1)
-    return ColoredFaceSet(class1, class0)
+    classes = [tuple(f for i, f in enumerate(faces) if color[i] == c) for c in (0, 1)]
+    return ColoredFaceSet(*sorted(classes, key=lambda cls: min(f.vertex_set() for f in cls)))
 
 
 def isomorphism_flag(sigma: Perm, r1: RotationSystem, r2: RotationSystem) -> str | None:
@@ -316,7 +307,8 @@ def embedding_isomorphisms(
                 images = [a] * r1.n
                 for y, image in zip(around0, walk):
                     images[y] = image
-                sigma = Perm(tuple(images))
+                # a bijection: 0 -> a, and the n - 1 neighbours of 0 onto those of a
+                sigma = _unchecked(tuple(images))
                 flag = isomorphism_flag(sigma, r1, r2)
                 if flag:
                     found.setdefault(sigma, flag)
@@ -324,19 +316,19 @@ def embedding_isomorphisms(
 
 
 def embedding_automorphism_group(rotation: RotationSystem) -> PermGroup:
-    return group_from_elements(
-        rotation.n, [p for p, _flag in embedding_isomorphisms(rotation, rotation)]
-    )
+    """The Preserving and Reversing self-maps, a group with no closure check:
+    the product of two maps with one flag preserves, with two flags reverses."""
+    maps = [sigma for sigma, _flag in embedding_isomorphisms(rotation, rotation)]
+    return PermGroup(rotation.n, tuple(maps))
 
 
 def color_automorphism_group(rotation: RotationSystem) -> PermGroup:
     """Embedding automorphisms fixing both color classes, each class the
     set of its faces' vertex sets."""
     coloring = two_coloring(rotation)
-    maps = [sigma for sigma, _flag in embedding_isomorphisms(rotation, rotation)]
     classes = [frozenset(frozenset(f.walk) for f in faces)
                for faces in (coloring.class_a, coloring.class_b)]
-    return stabilizer(rotation.n, maps, *classes)
+    return stabilizer(embedding_automorphism_group(rotation), *classes)
 
 
 def triangular_completions(rho0: Sequence[int]) -> list[RotationSystem]:

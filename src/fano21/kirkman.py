@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 
-from .perms import Perm, PermGroup, group_from_elements, stabilizer
+from .perms import Perm, PermGroup, stabilizer
 from .steiner import (
     StsError,
     Triple,
@@ -173,19 +173,20 @@ def sts_automorphism_group15(system: TripleSystem) -> PermGroup:
 
 def structured_automorphism_group61(system: TripleSystem) -> PermGroup:
     """Oracle for #61-shaped systems: fix inf, extend each common automorphism
-    of the two inner Fano planes by sigma(n') = sigma(n)', keep those fixing the blocks."""
+    of the two inner Fano planes by sigma(n') = sigma(n)', keep those fixing the blocks.
+    The lifts are a group: the image of one under an injective homomorphism."""
     lifts = [
         Perm(small.images + tuple(n + 7 for n in small.images) + (INFINITY,))
         for small in common_automorphism_group(fano_b1(), fano_b2())
     ]
-    return stabilizer(15, lifts, frozenset(map(frozenset, system.blocks)))
+    return stabilizer(PermGroup(15, tuple(lifts)), frozenset(map(frozenset, system.blocks)))
 
 
 def restriction_to_p(group: PermGroup) -> PermGroup:
     """Restrict a group stabilizing {0..6} pointwise-compatibly to degree 7.
 
     Every element must fix inf and stabilize the Fano point set; the
-    restriction map must be injective.
+    restriction map, a homomorphism, must be injective.
     """
     restricted = []
     for sigma in group:
@@ -197,10 +198,10 @@ def restriction_to_p(group: PermGroup) -> PermGroup:
         restricted.append(Perm(images))
     if len(set(restricted)) != group.order:
         raise StsError("restriction to the Fano point set is not injective")
-    return group_from_elements(7, restricted)
+    return PermGroup(7, tuple(restricted))
 
 
 def kts_automorphism_group(resolution: Resolution) -> PermGroup:
     """STS automorphisms that stabilize the set of parallel classes."""
     classes = frozenset(frozenset(map(frozenset, cls)) for cls in resolution.classes)
-    return stabilizer(15, sts_automorphism_group15(resolution.sts), classes)
+    return stabilizer(sts_automorphism_group15(resolution.sts), classes)

@@ -19,9 +19,9 @@ from .steiner import (
     Triple,
     TripleSystem,
     are_orthogonal,
+    automorphism_group,
     canonical_block,
     exact_covers,
-    isomorphisms,
     map_sts,
     validate_sts,
 )
@@ -185,7 +185,7 @@ def map_orientation(sigma: Perm, oriented: OrientedFano) -> OrientedFano:
 
 def oriented_automorphism_group(oriented: OrientedFano) -> PermGroup:
     """Plane automorphisms that stabilize the arcs, as ordered pairs."""
-    return stabilizer(7, isomorphisms(oriented.plane, oriented.plane), oriented.arcs)
+    return stabilizer(automorphism_group(oriented.plane), oriented.arcs)
 
 
 def reverse(oriented: OrientedFano) -> OrientedFano:

@@ -3,7 +3,9 @@
 Composition convention: ``compose(p, q)`` applies ``q`` first, so
 ``compose(p, q)(x) == p(q(x))``.  Groups are stored as full element lists,
 sorted lexicographically by image tuple so that every enumeration is
-deterministic, or as a base and transversals (:func:`group_from_chain`).
+deterministic.  Groups come from generators, a base and transversals
+(:func:`group_from_chain`) or a :func:`stabilizer` in a group, with no
+closure check; :func:`group_from_elements`, which proves one, is an oracle.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def affine_perm(modulus: int, a: int, b: int) -> Perm:
 
 @dataclass(frozen=True)
 class PermGroup:
-    """A finite permutation group, stored exhaustively and sorted."""
+    """A finite permutation group, stored exhaustively and sorted, each element once."""
 
     degree: int
     elements: tuple[Perm, ...]
@@ -153,6 +155,10 @@ class PermGroup:
     def __post_init__(self) -> None:
         # keyed by image tuple: its hash and comparisons run in C
         by_images = {p.images: p for p in self.elements}
+        if len(by_images) < len(self.elements):
+            # the second listing of an element finds its key gone
+            repeat = next(p for p in self.elements if by_images.pop(p.images, None) is None)
+            raise ValueError(f"element {repeat.images} is listed more than once")
         if any(len(images) != self.degree for images in by_images):
             raise DegreeMismatch("mixed degrees in group")
         if tuple(range(self.degree)) not in by_images:
@@ -235,16 +241,16 @@ def generate_group(degree: int, generators: Sequence[Perm]) -> PermGroup:
 
 
 def group_from_elements(degree: int, elements: Iterable[Perm]) -> PermGroup:
-    """Wrap an element set S, after proving that it is a group.
+    """Oracle for tests and the benchmark tracer: wrap a set S, proved a group.
 
-    S must hold the identity, and the closure of S must stay in S: any
-    element the closure reaches outside S raises "not closed under
-    composition" at once, also where S lacks an inverse.  Then S <= <S>
-    <= S, so S = <S> is a group, proved in about |S| * |T| products
+    S, repeats dropped, must hold the identity, and its closure must stay
+    in S: any element the closure reaches outside S raises "not closed
+    under composition" at once, also where S lacks an inverse.  Then S <=
+    <S> <= S, so S = <S> is a group, proved in about |S| * |T| products
     for the greedy generators T of the closure instead of |S|^2.  The
     proof runs on image tuples and builds no Perm.
     """
-    g = PermGroup(degree, tuple(elements))
+    g = PermGroup(degree, tuple(dict.fromkeys(elements)))
     elems = {p.images for p in g.elements}
     for images in _closure(degree, g.elements):
         if images not in elems:
@@ -275,9 +281,10 @@ def _image(images: tuple[int, ...], x):
     return frozenset([images[y] if type(y) is int else _image(images, y) for y in x])
 
 
-def stabilizer(degree: int, elements: Iterable[Perm], *structures: frozenset) -> PermGroup:
-    """The elements that map every structure onto itself, proved a group
-    by :func:`group_from_elements`.
+def stabilizer(group: PermGroup, *structures: frozenset) -> PermGroup:
+    """The elements of ``group`` that map every structure onto itself, with no
+    closure check: the stabilizer of a set in a group is a subgroup (Seress,
+    *Permutation Group Algorithms*, 2003, section 3).
 
     A structure is a frozenset of points, of point tuples, or of such sets
     nested to any depth.  A tuple maps pointwise in order, as an arc must;
@@ -286,9 +293,9 @@ def stabilizer(degree: int, elements: Iterable[Perm], *structures: frozenset) ->
     structure, up to the first miss: a bijection that maps a finite set
     into itself maps it onto itself.
     """
-    keep = [p for p in elements
+    keep = [p for p in group
             if all(_image(p.images, x) in s for s in structures for x in s)]
-    return group_from_elements(degree, keep)
+    return PermGroup(group.degree, tuple(keep))
 
 
 def affine_group(modulus: int, multipliers: set[int]) -> PermGroup:

@@ -268,8 +268,10 @@ def _isomorphism_kernel(s1: TripleSystem, first: bool = False) -> Callable[..., 
     so the map is injective, hence a bijection, and it carries the blocks
     of s1 onto blocks of s2.  No check is needed where a base point is
     placed: the points before it are closed, so no block has its last
-    point there.  The source holds only v and the points of s1, which
-    :func:`validate_sts` checks to be ints.
+    point there, nor a test that base point b takes a new image: for each
+    earlier point q, the third point of {q, b} is derived right after b as
+    ``t2[iq][ib]``, -1 exactly when ib == iq.  The source holds only v and
+    the points of s1, which :func:`validate_sts` checks to be ints.
     """
     order = list(closure(s1, range(s1.v)))
     position = {x: k for k, (x, _) in enumerate(order)}
@@ -282,18 +284,15 @@ def _isomorphism_kernel(s1: TripleSystem, first: bool = False) -> Callable[..., 
     base = [x for x, pair in order if pair is None]
     domains = ", ".join(f"d{j}=range({s1.v})" for j in range(len(base)))
     lines = [f"def kernel(t2, {domains}):", " out = []"]
-    pad, placed = " ", []
+    pad = " "
     for (x, pair), tests in zip(order, checks):
         if pair is None:
             lines.append(f"{pad}for i{x} in d{base.index(x)}:")
             pad += " "
-            if placed:
-                lines.append(f"{pad}if i{x} in ({', '.join(placed)},): continue")
         else:
             lines.append(f"{pad}i{x} = t2[i{pair[0]}][i{pair[1]}]")
             lines.append(f"{pad}if i{x} < 0: continue")
         lines += [pad + test for test in tests]
-        placed.append(f"i{x}")
     leaf = f"({', '.join(f'i{x}' for x in range(s1.v))},)"
     lines += [pad + (f"return [{leaf}]" if first else f"out.append({leaf})"), " return out"]
     exec("\n".join(lines), namespace := {})
@@ -350,7 +349,7 @@ def common_automorphism_group(s1: TripleSystem, s2: TripleSystem) -> PermGroup:
     """Automorphisms of s1 that stabilize the blocks of s2, as point sets."""
     if s1.v != s2.v:
         raise PointSetMismatch(s1.v, s2.v)
-    return stabilizer(s1.v, isomorphisms(s1, s1), frozenset(map(frozenset, s2.blocks)))
+    return stabilizer(automorphism_group(s1), frozenset(map(frozenset, s2.blocks)))
 
 
 def exact_covers(

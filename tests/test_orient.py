@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fano21.cli import main
-from fano21.perms import Perm, affine_perm, identity
+from fano21.perms import Perm, affine_perm, group_from_elements, identity
 from fano21.steiner import (
     StsError,
     common_automorphism_group,
@@ -201,6 +201,24 @@ def test_oriented_automorphism_group(b1, qr):
         go = oriented_automorphism_group(o)
         assert go.order == 21
         assert go.elements == common_automorphism_group(b1, derived_plane(o)).elements
+
+
+def test_every_pair_and_orientation_has_a_group_of_order_21(all_planes):
+    # 30 planes x 8 mates and their 240 orientations, each group equal to
+    # the filtered isomorphisms, proved a group by the oracle
+    for plane in all_planes:
+        aut = isomorphisms(plane, plane)
+        for mate in orthogonal_mates(plane):
+            common = common_automorphism_group(plane, mate)
+            keep = [p for p in aut
+                    if {tuple(sorted(map(p, b))) for b in mate.blocks} == mate.block_set()]
+            assert common.order == 21
+            assert common.elements == group_from_elements(7, keep).elements
+        for o in all_orientations(plane):
+            group = oriented_automorphism_group(o)
+            keep = [p for p in aut if {(p(x), p(y)) for x, y in o.arcs} == o.arcs]
+            assert group.order == 21
+            assert group.elements == group_from_elements(7, keep).elements
 
 
 def test_reverse(b1, b2, qr):

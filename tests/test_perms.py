@@ -9,11 +9,13 @@ from fano21.perms import (
     DegreeMismatch,
     NotAPermutation,
     Perm,
+    PermGroup,
     affine_group,
     affine_perm,
     classify_order21,
     compose,
     generate_group,
+    group_from_chain,
     group_from_elements,
     identity,
     perm_from_cycles,
@@ -255,26 +257,36 @@ def test_returned_groups_satisfy_the_axioms(images):
 
 
 def test_stabilizer_of_the_mate_blocks_is_f21(b1, b2):
-    aut = steiner.isomorphisms(b1, b1)
+    aut = steiner.automorphism_group(b1)
     blocks = frozenset(map(frozenset, b2.blocks))
-    assert stabilizer(7, aut, blocks).elements == affine_group(7, {1, 2, 4}).elements
+    assert stabilizer(aut, blocks).elements == affine_group(7, {1, 2, 4}).elements
 
 
 def test_stabilizer_reads_tuples_in_order(b1, qr):
     # an arc keeps its direction; read as a set it is an edge of K7, and
     # every automorphism of the plane permutes the 21 edges
-    aut = steiner.isomorphisms(b1, b1)
-    assert stabilizer(7, aut, qr.arcs).order == 21
-    assert stabilizer(7, aut, frozenset(map(frozenset, qr.arcs))).order == 168
+    aut = steiner.automorphism_group(b1)
+    assert stabilizer(aut, qr.arcs).order == 21
+    assert stabilizer(aut, frozenset(map(frozenset, qr.arcs))).order == 168
 
 
 def test_stabilizer_of_nested_classes(sts61, ag23):
     res = kirkman.resolution_61()
     classes = frozenset(frozenset(map(frozenset, cls)) for cls in res.classes)
-    assert stabilizer(15, steiner.isomorphisms(sts61, sts61), classes).order == 21
+    assert stabilizer(steiner.automorphism_group(sts61), classes).order == 21
     # Aut(AG(2,3)) permutes its 4 parallel classes as S4; only the
     # translations and x -> -x fix each class
-    aut = steiner.isomorphisms(ag23, ag23)
+    aut = steiner.automorphism_group(ag23)
     classes = [frozenset(map(frozenset, cls)) for cls in kirkman.parallel_classes(ag23)]
-    assert stabilizer(9, aut, frozenset(classes)).order == 432
-    assert stabilizer(9, aut, *classes).order == 18
+    assert stabilizer(aut, frozenset(classes)).order == 432
+    assert stabilizer(aut, *classes).order == 18
+
+
+def test_groups_reject_a_repeated_element(b1):
+    e = identity(7)
+    with pytest.raises(ValueError, match=r"element \(0, 1, 2, 3, 4, 5, 6\) is listed more"):
+        PermGroup(7, (e, e))
+    # two transversal elements for one coset list each product twice
+    _, (first, *rest) = steiner.automorphism_chain(b1)
+    with pytest.raises(ValueError, match="is listed more than once"):
+        group_from_chain(7, [first + first[-1:], *rest])
