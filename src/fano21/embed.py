@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .perms import Perm, PermGroup, _unchecked, stabilizer
 from .steiner import exact_covers
@@ -284,35 +284,36 @@ def isomorphism_flag(sigma: Perm, r1: RotationSystem, r2: RotationSystem) -> str
     return PRESERVING if preserving else REVERSING
 
 
-def embedding_isomorphisms(
-    r1: RotationSystem, r2: RotationSystem
-) -> list[tuple[Perm, str]]:
-    """All vertex maps carrying r1 onto r2 with their flags, sorted.
+def embedding_isomorphisms(r1: RotationSystem, r2: RotationSystem) -> list[tuple[Perm, str]]:
+    """All vertex maps carrying r1 onto r2 with their flags, sorted."""
+    return list(_isomorphisms_in_order(r1, r2))
+
+
+def _isomorphisms_in_order(r1: RotationSystem, r2: RotationSystem) -> Iterator[tuple[Perm, str]]:
+    """The maps of :func:`embedding_isomorphisms` in lexicographic order,
+    each candidate checked only when reached.
 
     A map is fixed by its flag and the image (a, b) of the dart (0, 1):
     it carries the rotation at 0 in r1 onto the rotation at a in r2,
-    walked from b forward (Preserving) or backward (Reversing).  So
-    2n(n-1) candidates get one full check each.  On K2 and K3 both walks
-    give the same map, reported once as Preserving.
+    walked from b forward (Preserving) or backward (Reversing).  So there
+    are 2n(n-1) candidates, taken in the order of their image tuples, which
+    start with a.  On K2 and K3 both walks give the same map, checked once
+    and reported as Preserving.
     """
     if r1.n != r2.n:
         raise RotationError(f"vertex counts differ: {r1.n} vs {r2.n}")
     around0 = r1.cycle_at(0)
-    found: dict[Perm, str] = {}
+    where = [around0.index(y) for y in range(1, r1.n)]  # y's place around 0
     for a in range(r1.n):
         cycle = r2.cycle_at(a)
-        for i in range(len(cycle)):
-            forward = cycle[i:] + cycle[:i]
-            for walk in (forward, forward[:1] + forward[:0:-1]):
-                images = [a] * r1.n
-                for y, image in zip(around0, walk):
-                    images[y] = image
-                # a bijection: 0 -> a, and the n - 1 neighbours of 0 onto those of a
-                sigma = _unchecked(tuple(images))
-                flag = isomorphism_flag(sigma, r1, r2)
-                if flag:
-                    found.setdefault(sigma, flag)
-    return sorted(found.items())
+        walks = [cycle[i:] + cycle[:i] for i in range(len(cycle))]
+        walks += [w[:1] + w[:0:-1] for w in walks]
+        for images in sorted({(a, *(w[k] for k in where)) for w in walks}):
+            # a bijection: 0 -> a, and the n - 1 neighbours of 0 onto those of a
+            sigma = _unchecked(images)
+            flag = isomorphism_flag(sigma, r1, r2)
+            if flag:
+                yield sigma, flag
 
 
 def embedding_automorphism_group(rotation: RotationSystem) -> PermGroup:
@@ -369,12 +370,12 @@ def triangular_completions(rho0: Sequence[int]) -> list[RotationSystem]:
 
 def classify_triangular(rotation: RotationSystem) -> tuple[Perm, str]:
     """The lexicographically smallest isomorphism onto the classical
-    toroidal rotation, with its flag."""
+    toroidal rotation, with its flag: the search stops at the first map."""
     if rotation.n != 7:
         raise RotationError(f"classification is defined for K7, got K{rotation.n}")
     if not is_triangular(rotation):
         raise NotTriangular()
-    return embedding_isomorphisms(rotation, classical_rotation())[0]
+    return next(_isomorphisms_in_order(rotation, classical_rotation()))
 
 
 def to_dot(rotation: RotationSystem) -> str:

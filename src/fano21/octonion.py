@@ -66,6 +66,11 @@ def _default_table() -> Table:
     return cartan_table(qr_orientation())
 
 
+@lru_cache(maxsize=None)
+def _default_product() -> Callable[[tuple, tuple], tuple]:
+    return _product(_default_table())
+
+
 @dataclass(frozen=True)
 class Octonion:
     """8 exact integer coordinates over the basis (1, e1..e7)."""
@@ -105,8 +110,10 @@ def unit(i: int) -> Octonion:
 
 def multiply(a: Octonion, b: Octonion, table: Table | None = None) -> Octonion:
     """Bilinear extension of the basis table; 1 is a two-sided identity."""
+    if table is None or table is _default_table():  # no hash of the table
+        return _unchecked(_default_product()(a.coeffs, b.coeffs))
     try:
-        product = _product(cartan_table() if table is None else table)
+        product = _product(table)
     except TypeError:  # a table given as lists cannot be a cache key
         product = _product(_as_tuples(table))
     return _unchecked(product(a.coeffs, b.coeffs))
@@ -168,8 +175,8 @@ def is_algebra_automorphism(sigma: Perm, table: Table | None = None) -> bool:
     if table is None:
         table = cartan_table()
 
-    # image[i] is the unit index of e_i's image; image[0] = 0 is the real unit
-    image = (0,) + tuple(point_to_unit(sigma(unit_to_point(i))) for i in range(1, 8))
+    # image[i] is the unit index of e_i's image, unit 7 being point 0; 1 is fixed
+    image = (0, *(sigma.images[i % 7] or 7 for i in range(1, 8)))
     for i in range(1, 8):
         row, image_row = table[i - 1], table[image[i] - 1]
         for j in range(1, 8):

@@ -358,30 +358,31 @@ def exact_covers(
     """Every set of subsets that partitions ``items``, each as the sorted
     list of its subset indices, in the order the search finds them.
 
-    Knuth's Algorithm X without the dancing links: branch on the first
-    uncovered item, in the order of ``items``, and try in index order each
-    subset that holds it and is disjoint from those already chosen.
-    Subsets must be non-empty (an empty one lies on no branch) and drawn
-    from ``items``.
+    Knuth's Algorithm X on bitmasks, without the dancing links: the k-th
+    distinct item of ``items`` is bit k.  Branch on the lowest bit not yet
+    covered and try, in index order, each subset holding it that is
+    disjoint from those chosen.  Subsets must be non-empty (an empty one
+    lies on no branch) and drawn from ``items``.
     """
-    sets = [frozenset(s) for s in subsets]
-    holding: dict[Hashable, list[int]] = {x: [] for x in items}
-    for i, s in enumerate(sets):
-        for x in s:
-            holding[x].append(i)
+    index = {x: k for k, x in enumerate(dict.fromkeys(items))}
+    holding: list[list[tuple[int, int]]] = [[] for _ in index]
+    for i, s in enumerate(subsets):
+        ks = {index[x] for x in s}
+        mask = sum(1 << k for k in ks)
+        for k in ks:
+            holding[k].append((i, mask))
+    full = (1 << len(index)) - 1
     out: list[list[int]] = []
 
-    def search(k: int, chosen: list[int], covered: frozenset) -> None:
-        while k < len(items) and items[k] in covered:
-            k += 1
-        if k == len(items):
+    def search(chosen: list[int], covered: int) -> None:
+        if covered == full:
             out.append(sorted(chosen))
             return
-        for i in holding[items[k]]:
-            if covered.isdisjoint(sets[i]):
-                search(k + 1, chosen + [i], covered | sets[i])
+        for i, mask in holding[(~covered & (covered + 1)).bit_length() - 1]:
+            if not covered & mask:
+                search(chosen + [i], covered | mask)
 
-    search(0, [], frozenset())
+    search([], 0)
     return out
 
 

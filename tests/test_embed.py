@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from fano21 import embed
 from fano21.perms import Perm, affine_perm, identity
 from fano21.steiner import common_automorphism_group
 from fano21.embed import (
@@ -263,20 +264,29 @@ def test_classify_triangular_rejects_non_triangular():
         classify_triangular(other)
 
 
-def test_all_completions_classify(classical):
+def test_all_completions_classify(classical, monkeypatch):
     # each of the 120 six-cycles rho_0 on 1..6 has exactly 2 triangular
     # extensions (the stabilizer of 0 permutes the cycles transitively),
-    # and each is isomorphic to the classical rotation
+    # and each is isomorphic to the classical rotation.  Classification
+    # returns the first map of the full listing, found after 360 flag
+    # checks over all 240, where listing every map takes 84 per rotation
     from itertools import permutations
 
+    completions = []
     for rest in permutations(range(2, 7)):
         cyc = (1,) + rest
-        completions = triangular_completions(cyc)
-        assert len(completions) == 2
-        for r in completions:
-            assert r.cycle_at(0) == cyc
-            witness, flag = classify_triangular(r)
-            assert isomorphism_flag(witness, r, classical) == flag
+        pair = triangular_completions(cyc)
+        assert len(pair) == 2 and all(r.cycle_at(0) == cyc for r in pair)
+        completions += pair
+    checks = []
+    monkeypatch.setattr(embed, "isomorphism_flag",
+                        lambda *args: checks.append(args) or isomorphism_flag(*args))
+    found = [classify_triangular(r) for r in completions]
+    monkeypatch.undo()
+    assert len(checks) == 360
+    for r, (witness, flag) in zip(completions, found):
+        assert isomorphism_flag(witness, r, classical) == flag
+        assert (witness, flag) == embedding_isomorphisms(r, classical)[0]
 
 
 def _face_keys(walks):

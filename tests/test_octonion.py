@@ -27,6 +27,7 @@ from fano21.octonion import (
     table_to_text,
     unit,
     unit_to_point,
+    _product,
 )
 from fano21.steiner import fano_b1, map_sts
 
@@ -267,6 +268,21 @@ def test_default_table_products_match_explicit_table(qr):
     for i in range(1, 8):
         for j in range(1, 8):
             assert basis_product(i, j) == basis_product(i, j, qr)
+
+
+def test_default_table_products_skip_the_table_lookup(qr):
+    # the default table, given or not, is recognised without hashing it;
+    # an equal table that is another object, or lists, still gets its own
+    a, b = random_octonions(2, seed=5)
+    multiply(a, b), multiply(a, b, cartan_table())
+    before = _product.cache_info()
+    for _ in range(1000):
+        multiply(a, b), multiply(a, b, cartan_table())
+    assert _product.cache_info() == before
+    equal = cartan_table(qr)
+    assert equal == cartan_table() and equal is not cartan_table()
+    for table in (equal, [[list(entry) for entry in row] for row in equal]):
+        assert multiply(a, b, table) == multiply_by_definition(a, b, table) == multiply(a, b)
 
 
 # 0, small values and values far beyond any machine word, so that the

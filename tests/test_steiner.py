@@ -5,7 +5,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fano21 import steiner
 from fano21.kirkman import sts15_61
@@ -429,6 +429,49 @@ def test_exact_covers_match_bruteforce(problem):
         if sorted(x for i in chosen for x in subsets[i]) == items
     ]
     assert sorted(exact_covers(items, subsets)) == sorted(brute)
+
+
+def _exact_covers_reference(items, subsets):
+    """Order oracle for ``exact_covers``: Algorithm X on frozensets,
+    branching on the first uncovered item in the order of ``items``."""
+    sets = [frozenset(s) for s in subsets]
+    holding = {x: [] for x in items}
+    for i, s in enumerate(sets):
+        for x in s:
+            holding[x].append(i)
+    out = []
+
+    def search(k, chosen, covered):
+        while k < len(items) and items[k] in covered:
+            k += 1
+        if k == len(items):
+            out.append(sorted(chosen))
+            return
+        for i in holding[items[k]]:
+            if covered.isdisjoint(sets[i]):
+                search(k + 1, chosen + [i], covered | sets[i])
+
+    search(0, [], frozenset())
+    return out
+
+
+@st.composite
+def _letter_cover_problems(draw):
+    # items with one item repeated, as a list or as a string of letters;
+    # subsets with repeated items, repeated subsets and empty subsets
+    letters = draw(st.lists(st.sampled_from("ABCDEFGH"), min_size=1, max_size=8, unique=True))
+    letters.insert(draw(st.integers(0, len(letters))), draw(st.sampled_from(letters)))
+    subsets = draw(st.lists(st.lists(st.sampled_from(letters), max_size=4), max_size=10))
+    if subsets:
+        subsets += draw(st.lists(st.sampled_from(subsets), max_size=3))
+    return draw(st.sampled_from(["".join(letters), letters])), subsets
+
+
+@given(_letter_cover_problems())
+@example(("AAB", [["A", "B"]]))
+def test_exact_covers_match_the_order_oracle(problem):
+    items, subsets = problem
+    assert exact_covers(items, subsets) == _exact_covers_reference(items, subsets)
 
 
 def test_aut_transitive_on_mates(b1):
