@@ -83,6 +83,11 @@ def check_orientation_bijection() -> dict:
     b1 = steiner.fano_b1()
     orientations = orient.all_orientations(b1)
     _require(len(orientations) == 8, count=len(orientations))
+    for o in orientations:
+        try:
+            orient.validate_orientation(b1, o.arcs)
+        except orient.OrientationError as exc:
+            _require(False, arcs=sorted(o.arcs), error=str(exc))
     mates = steiner.orthogonal_mates(b1)
     images = [orient.derived_plane(o) for o in orientations]
     _require(
@@ -90,8 +95,10 @@ def check_orientation_bijection() -> dict:
         images=[s.to_json() for s in images],
     )
     _require(len({s.blocks for s in images}) == 8, injective=False)
-    for o in orientations:
-        back = orient.orientation_from_mate(b1, orient.derived_plane(o))
+    for o, s in zip(orientations, images):
+        _require(steiner.are_orthogonal(b1, s)["orthogonal"],
+                 arcs=sorted(o.arcs), image=s.to_json())
+        back = orient.orientation_from_mate(b1, s)
         _require(back.arcs == o.arcs, arcs=sorted(o.arcs))
     for s in mates:
         o = orient.orientation_from_mate(b1, s)
@@ -140,6 +147,9 @@ def check_circuits() -> dict:
     for o in orient.all_orientations(b1):
         three = orient.circuits_of_orientation(o)
         _require(len(three) == 3, arcs=sorted(o.arcs), circuits=len(three))
+        for c in three:
+            _require(orient.circuit_to_orientation(b1, c).arcs == o.arcs,
+                     arcs=sorted(o.arcs), circuit=c.seq)
     return {"circuits": 24, "fibers": 8, "fiber_size": 3}
 
 

@@ -211,19 +211,12 @@ def euler_characteristic(rotation: RotationSystem) -> int:
 
 
 def is_triangular(rotation: RotationSystem) -> bool:
-    """All faces have length 3; cross-checked against the local condition
-    rho_x(y)=z => rho_z(x)=y."""
-    by_faces = all(len(f) == 3 for f in trace_faces(rotation))
-    n = rotation.n
-    by_local = all(
-        rotation.rho(rotation.rho(x, y), x) == y
-        for x in range(n)
-        for y in range(n)
-        if x != y
-    )
-    if by_faces != by_local:
-        raise AssertionError("face-length and local triangularity checks disagree")
-    return by_faces
+    """All faces have length 3, tested locally: rho_z(x) = y for each dart
+    (x, y) and z = rho_x(y).  The face walk (y, x) -> (x, z) -> (z, y) then
+    steps to (y, rho_y(z)) = (y, x) by the test at (z, x); conversely, a
+    face of length 3 through (y, x) gives the test at (x, y)."""
+    return all(rotation.rho(rotation.rho(x, y), x) == y
+               for x, y in permutations(range(rotation.n), 2))
 
 
 @dataclass(frozen=True)
@@ -242,7 +235,8 @@ def two_coloring(rotation: RotationSystem) -> ColoredFaceSet:
     """Bipartition faces so that each edge bounds one face of each color.
 
     The class containing the face with the lexicographically smallest
-    vertex set is class A.
+    vertex set is class A.  One search reaches all faces: those at a vertex
+    are joined through its rotation, those at the ends of an edge across it.
     """
     faces = trace_faces(rotation)
     face_of = {dart: i for i, f in enumerate(faces) for dart in f.edges()}
@@ -258,8 +252,6 @@ def two_coloring(rotation: RotationSystem) -> ColoredFaceSet:
                 queue.append(j)
             elif color[j] == color[i]:  # also where a face meets itself
                 raise NotTwoColorable()
-    if len(color) != len(faces):
-        raise AssertionError("face-adjacency graph of K_n must be connected")
     classes = [tuple(f for i, f in enumerate(faces) if color[i] == c) for c in (0, 1)]
     return ColoredFaceSet(*sorted(classes, key=lambda cls: min(f.vertex_set() for f in cls)))
 
@@ -338,8 +330,9 @@ def triangular_completions(rho0: Sequence[int]) -> list[RotationSystem]:
     triangles, where (x, y, z) covers (x, y), (y, z), (z, x) and sets
     rho_y(x) = z, rho_z(y) = x, rho_x(z) = y.  rho_0 fixes the faces
     (y, 0, rho_0(y)), so the search covers the 24 darts they leave with
-    the directed triangles on 1..6 avoiding the 18 they take.  Covers
-    giving a rho_x that is not a single 6-cycle are skipped.
+    the directed triangles on 1..6 avoiding the 18 they take.  A cover whose
+    rho_x, a bijection, is not one 6-cycle is skipped; the rest are
+    triangular, as each dart lies in a triangle that sets its successors.
     """
     cyc = list(rho0)
     if any(type(y) is not int for y in cyc) or sorted(cyc) != [1, 2, 3, 4, 5, 6]:
@@ -358,12 +351,8 @@ def triangular_completions(rho0: Sequence[int]) -> list[RotationSystem]:
         for face in fixed + [triangles[i] for i in cover]:
             x, y, z = face.walk
             succ[y][x], succ[z][y], succ[x][z] = z, x, y
-        walks = RotationSystem(7, tuple(map(tuple, succ)))  # not yet validated
-        try:
-            rotation = validate_rotation(7, {x: walks.cycle_at(x) for x in range(7)})
-        except RotationError:
-            continue
-        if is_triangular(rotation):
+        rotation = RotationSystem(7, tuple(map(tuple, succ)))
+        if all(len(rotation.cycle_at(x)) == 6 for x in range(7)):
             out.append(rotation)
     return sorted(out, key=lambda r: r.succ)
 

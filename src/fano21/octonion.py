@@ -169,6 +169,7 @@ def is_algebra_automorphism(sigma: Perm, table: Table | None = None) -> bool:
 
     The permutation is given on {0..6} and read as acting on unit
     indices 1..7 with 7 = 0 + 7, i.e. through the point-unit mapping.
+    As for :func:`multiply`, the table may be given as lists.
     """
     if sigma.degree != 7:
         raise ValueError(f"expected a permutation of 7 symbols, got degree {sigma.degree}")
@@ -180,8 +181,8 @@ def is_algebra_automorphism(sigma: Perm, table: Table | None = None) -> bool:
     for i in range(1, 8):
         row, image_row = table[i - 1], table[image[i] - 1]
         for j in range(1, 8):
-            sign, k = row[j - 1]
-            if image_row[image[j] - 1] != (sign, image[k]):
+            (sign, k), (image_sign, image_k) = row[j - 1], image_row[image[j] - 1]
+            if image_sign != sign or image_k != image[k]:
                 return False
     return True
 

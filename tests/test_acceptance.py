@@ -9,7 +9,7 @@ import pytest
 
 from fano21 import embed, kirkman, octonion, orient, steiner
 from fano21.certificates import ALL_CHECKS, run_check
-from fano21.perms import affine_group, identity
+from fano21.perms import affine_group, affine_perm, identity
 
 CHECK_NAMES = [name for name, _func in ALL_CHECKS]
 
@@ -54,6 +54,44 @@ def test_certificate_fails_when_an_orientation_is_dropped(monkeypatch):
     report = run_check("orientation-bijection-8")
     assert report.status == "FAIL"
     assert report.witness == {"count": 7}
+
+
+def test_certificate_fails_on_an_invalid_orientation(monkeypatch, b1):
+    def reject(plane, arcs):
+        raise orient.OrientationError("rejected")
+
+    monkeypatch.setattr(orient, "validate_orientation", reject)
+    report = run_check("orientation-bijection-8")
+    assert report.status == "FAIL"
+    first = orient.all_orientations(b1)[0]
+    assert report.witness == {"arcs": sorted(first.arcs), "error": "rejected"}
+
+
+def test_certificate_fails_on_a_derived_plane_not_orthogonal(monkeypatch, b1):
+    third = orient.all_orientations(b1)[2]
+    image = orient.derived_plane(third)
+    flags = steiner.are_orthogonal
+    monkeypatch.setattr(
+        steiner, "are_orthogonal",
+        lambda s1, s2: {**flags(s1, s2), "orthogonal": False} if s2 == image else flags(s1, s2),
+    )
+    report = run_check("orientation-bijection-8")
+    assert report.status == "FAIL"
+    assert report.witness == {"arcs": sorted(third.arcs), "image": image.to_json()}
+
+
+def test_certificate_fails_when_circuits_induce_another_orientation(monkeypatch, b1, qr):
+    # each circuit is sent to the image of its orientation under x -> x + 1,
+    # which fixes qr and permutes the other 7: the fibers stay 8 of size 3
+    induce, shift = orient.circuit_to_orientation, affine_perm(7, 1, 1)
+    monkeypatch.setattr(orient, "circuit_to_orientation",
+                        lambda plane, c: orient.map_orientation(shift, induce(plane, c)))
+    report = run_check("fano-circuits-24")
+    assert report.status == "FAIL"
+    second = orient.all_orientations(b1)[1]
+    assert orient.all_orientations(b1)[0] == qr
+    assert report.witness == {"arcs": sorted(second.arcs),
+                              "circuit": orient.circuits_of_orientation(second)[0].seq}
 
 
 def test_certificate_fails_when_a_circuit_is_dropped(monkeypatch):

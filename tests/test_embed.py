@@ -1,3 +1,4 @@
+from itertools import combinations, permutations
 from random import Random
 
 import pytest
@@ -120,7 +121,20 @@ def test_is_triangular(classical):
     assert not is_triangular(validate_rotation(7, cycles))
 
 
-def test_is_triangular_checks_agree_on_random_rotations():
+def _all_completions():
+    return [r for rest in permutations(range(2, 7)) for r in triangular_completions((1, *rest))]
+
+
+def test_is_triangular_agrees_with_face_lengths(classical):
+    # the local test against its definition, on the 240 triangular
+    # completions, on the classical rotation with two neighbors swapped at
+    # one vertex, and on random rotations
+    rotations = _all_completions()
+    for x in range(7):
+        for i, j in combinations(range(6), 2):
+            cycles = {w: list(classical.cycle_at(w)) for w in range(7)}
+            cycles[x][i], cycles[x][j] = cycles[x][j], cycles[x][i]
+            rotations.append(validate_rotation(7, cycles))
     rng = Random(11)
     for _ in range(100):
         cycles = {}
@@ -128,8 +142,10 @@ def test_is_triangular_checks_agree_on_random_rotations():
             cyc = [y for y in range(7) if y != x]
             rng.shuffle(cyc)
             cycles[x] = cyc
-        # raises internally if the face-length and local checks disagree
-        is_triangular(validate_rotation(7, cycles))
+        rotations.append(validate_rotation(7, cycles))
+    verdicts = [is_triangular(r) for r in rotations]
+    assert verdicts == [all(len(f) == 3 for f in trace_faces(r)) for r in rotations]
+    assert verdicts.count(True) == 240
 
 
 def test_two_coloring_classical(classical, b1, b2):
@@ -162,6 +178,14 @@ def test_two_coloring_rejects_k4(cycles, walks):
     assert [f.walk for f in trace_faces(rotation)] == walks
     with pytest.raises(NotTwoColorable, match="odd cycle"):
         two_coloring(rotation)
+
+
+def test_two_coloring_of_every_completion_colors_all_faces():
+    # two_coloring does not re-check that its search reached every face
+    for r in _all_completions():
+        coloring = two_coloring(r)
+        assert len(coloring.class_a) == len(coloring.class_b) == 7
+        assert sorted(coloring.class_a + coloring.class_b, key=lambda f: f.walk) == trace_faces(r)
 
 
 def test_embedding_automorphisms_include_affine(classical):
@@ -270,8 +294,6 @@ def test_all_completions_classify(classical, monkeypatch):
     # and each is isomorphic to the classical rotation.  Classification
     # returns the first map of the full listing, found after 360 flag
     # checks over all 240, where listing every map takes 84 per rotation
-    from itertools import permutations
-
     completions = []
     for rest in permutations(range(2, 7)):
         cyc = (1,) + rest

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import fano21
 from fano21.orient import all_orientations, oriented_automorphism_group
-from fano21.perms import Perm, group_from_elements
+from fano21.perms import Perm, group_from_elements, identity
 from fano21.octonion import (
     ONE,
     ZERO,
@@ -338,6 +338,16 @@ def test_multiply_accepts_a_table_of_lists(qr):
     samples = random_octonions(40, seed=3)
     for a, b in zip(samples, samples[1:]):
         assert multiply(a, b, as_lists) == multiply(a, b, table) == multiply_by_definition(a, b, table)
+
+
+def test_automorphisms_of_a_table_of_lists(qr):
+    table = cartan_table(qr)
+    as_lists = [[list(entry) for entry in row] for row in table]
+    perms = algebra_automorphism_perms(table)
+    assert len(perms) == 21
+    assert algebra_automorphism_perms(as_lists) == perms
+    assert is_algebra_automorphism(identity(7), as_lists)
+    assert [p for p in perms if is_algebra_automorphism(p, as_lists)] == perms
 
 
 def test_product_kernel_is_not_built_at_import():

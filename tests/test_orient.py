@@ -9,6 +9,7 @@ from fano21.cli import main
 from fano21.perms import Perm, affine_perm, group_from_elements, identity
 from fano21.steiner import (
     StsError,
+    are_orthogonal,
     common_automorphism_group,
     cyclic_sts13,
     isomorphisms,
@@ -161,7 +162,9 @@ def test_orientation_from_mate_round_trips(b1, b2, qr, all_planes):
         assert derived_plane(o) == s
     for plane in all_planes:
         for o in all_orientations(plane):
-            assert orientation_from_mate(plane, derived_plane(o)) == o
+            s = derived_plane(o)
+            assert are_orthogonal(plane, s)["orthogonal"]  # derived_plane does not check it
+            assert orientation_from_mate(plane, s) == o
 
 
 def test_all_orientations(b1, qr):
@@ -187,10 +190,10 @@ def test_map_orientation_requires_automorphism(qr):
 
 def test_map_orientation_equivariance(b1):
     for o in all_orientations(b1):
-        for sigma in isomorphisms(b1, b1)[:20]:
-            assert derived_plane(map_orientation(sigma, o)) == map_sts(
-                sigma, derived_plane(o)
-            )
+        for sigma in isomorphisms(b1, b1):
+            image = map_orientation(sigma, o)
+            assert validate_orientation(b1, image.arcs) == image  # built unchecked
+            assert derived_plane(image) == map_sts(sigma, derived_plane(o))
 
 
 def test_oriented_automorphism_group(b1, qr):

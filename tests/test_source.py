@@ -38,3 +38,15 @@ def test_only_perms_reads_the_closure_oracle():
         if "group_from_elements" in names and path.name != "perms.py":
             readers.append(path.name)
     assert readers == []
+
+
+def test_library_raises_only_typed_errors():
+    # an assert or an AssertionError would reach the CLI as a traceback
+    found = []
+    for path in sorted((ROOT / "src" / "fano21").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Raise) and "AssertionError" in ast.unparse(node)
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
