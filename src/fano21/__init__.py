@@ -17,6 +17,7 @@ from .steiner import (
     cyclic_sts,
     fano_b1,
     fano_b2,
+    is_isomorphic,
     isomorphisms,
     negate_sts,
     orthogonal_mates,

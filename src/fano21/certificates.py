@@ -139,7 +139,7 @@ def check_circuits() -> dict:
         fibers.setdefault(tuple(sorted(o.arcs)), []).append(c.seq)
     _require(len(fibers) == 8, fiber_count=len(fibers))
     _require(all(len(v) == 3 for v in fibers.values()),
-             fiber_sizes={k: len(v) for k, v in fibers.items()})
+             fiber_sizes=[[list(k), len(v)] for k, v in fibers.items()])
     ring = orient.validate_circuit(b1, (0, 1, 2, 3, 4, 5, 6))
     induced = orient.circuit_to_orientation(b1, ring)
     _require(induced.arcs == orient.qr_orientation().arcs,

@@ -112,9 +112,9 @@ def multiply(a: Octonion, b: Octonion, table: Table | None = None) -> Octonion:
     """Bilinear extension of the basis table; 1 is a two-sided identity."""
     if table is None or table is _default_table():  # no hash of the table
         return _unchecked(_default_product()(a.coeffs, b.coeffs))
-    try:
-        product = _product(table)
-    except TypeError:  # a table given as lists cannot be a cache key
+    try:  # a table given as lists cannot be a cache key
+        product = _product(table if isinstance(table, tuple) else _as_tuples(table))
+    except TypeError:  # nor can a tuple holding lists
         product = _product(_as_tuples(table))
     return _unchecked(product(a.coeffs, b.coeffs))
 
@@ -143,8 +143,13 @@ def _product(table: Table) -> Callable[[tuple, tuple], tuple]:
     return namespace["product"]
 
 
-def _as_tuples(table):
-    return tuple(map(_as_tuples, table)) if isinstance(table, (list, tuple)) else table
+def _as_tuples(table) -> Table:
+    try:  # rows and list entries as tuples; _product checks the shape
+        table = tuple(tuple(tuple(e) if isinstance(e, list) else e for e in row) for row in table)
+        hash(table)
+    except TypeError:  # not iterable, or an entry that cannot be a key
+        raise ValueError(f"a multiplication table needs 7 rows of 7 (sign, k) pairs, got {table!r}") from None
+    return table
 
 
 def _unchecked(coeffs: tuple[int, ...]) -> Octonion:

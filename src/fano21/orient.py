@@ -10,6 +10,7 @@ bijection onto the 8 orthogonal mates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
@@ -22,6 +23,8 @@ from .steiner import (
     automorphism_group,
     canonical_block,
     exact_covers,
+    fano_b1,
+    is_isomorphic,
     map_sts,
     validate_sts,
 )
@@ -123,8 +126,6 @@ def validate_orientation(plane: TripleSystem, arcs: Iterable[Arc]) -> OrientedFa
 def qr_orientation() -> OrientedFano:
     """The quadratic-residue orientation of the translates of {0,1,3}:
     x -> y iff y - x in {1,2,4} (mod 7)."""
-    from .steiner import fano_b1
-
     arcs = [(x, (x + d) % 7) for x in range(7) for d in (1, 2, 4)]
     return validate_orientation(fano_b1(), arcs)
 
@@ -148,8 +149,14 @@ def orientation_from_mate(f: TripleSystem, s: TripleSystem) -> OrientedFano:
 
 
 def all_orientations(plane: TripleSystem) -> list[OrientedFano]:
-    """All 8 orientations, sorted by arcs."""
-    return _orientations(plane, frozenset(map(frozenset, combinations(range(7), 3))))
+    """All 8 orientations, sorted by arcs: b1's, relabelled arc by arc along
+    sigma = is_isomorphic(b1, plane), as :func:`_b1_covers` proves."""
+    if plane.v != 7:
+        raise StsError(f"orientations are defined for v=7, got v={plane.v}")
+    b1, orientations, _ = _b1_covers()
+    sigma = is_isomorphic(b1, plane).images
+    return sorted((OrientedFano(plane, frozenset((sigma[x], sigma[y]) for x, y in o.arcs))
+                   for o in orientations), key=OrientedFano.sorted_arcs)
 
 
 def _orientations(plane: TripleSystem, ins: frozenset[frozenset[int]]) -> list[OrientedFano]:
@@ -263,9 +270,26 @@ def circuits_of_orientation(oriented: OrientedFano) -> list[FanoCircuit]:
 
 
 def all_circuits(plane: TripleSystem) -> list[FanoCircuit]:
-    """All Fano circuits up to rotation and reversal (there are 24).  The
-    count does not use the orientations."""
-    return _circuits(plane, frozenset(permutations(range(7), 2)))
+    """All Fano circuits up to rotation and reversal (there are 24), sorted:
+    b1's, relabelled point by point along sigma = is_isomorphic(b1, plane)
+    and canonicalized, as :func:`_b1_covers` proves."""
+    if plane.v != 7:
+        raise StsError(f"Fano circuits are defined for v=7, got v={plane.v}")
+    b1, _, circuits = _b1_covers()
+    sigma = is_isomorphic(b1, plane).images
+    found = (FanoCircuit(canonical_circuit([sigma[x] for x in c.seq])) for c in circuits)
+    return sorted(found, key=lambda c: c.seq)
+
+
+@lru_cache(maxsize=None)
+def _b1_covers() -> tuple[TripleSystem, list[OrientedFano], list[FanoCircuit]]:
+    """b1 with its orientations and circuits, the unrestricted covers, kept
+    for the process.  Relabelling along an isomorphism b1 -> plane is a
+    bijection onto the plane's, as their axioms speak only of blocks and
+    arcs; is_isomorphic finds one for every validated STS(7), as its search
+    is exhaustive and the Fano plane is unique up to isomorphism."""
+    b1, ins, arcs = fano_b1(), map(frozenset, combinations(range(7), 3)), permutations(range(7), 2)
+    return b1, _orientations(b1, frozenset(ins)), _circuits(b1, frozenset(arcs))
 
 
 def _circuits(plane: TripleSystem, arcs: frozenset[Arc]) -> list[FanoCircuit]:
@@ -275,8 +299,6 @@ def _circuits(plane: TripleSystem, arcs: frozenset[Arc]) -> list[FanoCircuit]:
     in one 7-cycle.  A 2-cycle uses a block twice, and so does a 3-cycle on
     a block; one on a triangle leaves a 4-cycle on its 3 side points, which
     are collinear, and one more, so 2 steps share a line."""
-    if plane.v != 7:
-        raise StsError(f"Fano circuits are defined for v=7, got v={plane.v}")
     darts = [(x, y, i) for i, b in enumerate(plane.blocks) for x in b for y in b if (x, y) in arcs]
     found: dict[tuple[int, ...], FanoCircuit] = {}
     for cover in exact_covers(range(21), [(i, 7 + x, 14 + y) for x, y, i in darts]):

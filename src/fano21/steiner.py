@@ -248,6 +248,14 @@ def isomorphisms(s1: TripleSystem, s2: TripleSystem) -> list[Perm]:
     return list(map(_unchecked, sorted(_isomorphism_kernel(s1)(s2.third_table))))
 
 
+def is_isomorphic(s1: TripleSystem, s2: TripleSystem) -> Perm | None:
+    """The kernel's first isomorphism s1 -> s2, or None: its search is exhaustive."""
+    if s1.v != s2.v:
+        raise PointSetMismatch(s1.v, s2.v)
+    found = _isomorphism_kernel(s1, True)(s2.third_table)
+    return _unchecked(found[0]) if found else None
+
+
 @lru_cache(maxsize=64)
 def _isomorphism_kernel(s1: TripleSystem, first: bool = False) -> Callable[..., list[tuple]]:
     """The isomorphism search from s1, compiled to one straight-line function

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fano21
-from fano21 import certificates
+from fano21 import certificates, orient
 from fano21.cli import AUT_LIST_LIMIT, build_parser, main
 from fano21.kirkman import sts15_61
+from fano21.steiner import fano_b1
 
 
 CLASSICAL_CYCLES = {
@@ -309,6 +310,24 @@ def test_crashing_certificate_reports_error(monkeypatch, capsys):
     assert [r["name"] for r in errors] == ["mate-count-8"]
     assert errors[0]["witness"] == {"error": "ZeroDivisionError", "message": "boom"}
     assert {r["status"] for r in reports if r not in errors} == {"PASS"}
+
+
+def test_uneven_circuit_fibers_report_fail(monkeypatch, capsys):
+    # the first circuit induces the orientation of the last: still 8 fibers,
+    # of sizes 2 to 4, and the witness names each fiber by its arcs
+    induce, b1 = orient.circuit_to_orientation, fano_b1()
+    first, *_, last = orient.all_circuits(b1)
+    assert induce(b1, first) != induce(b1, last)
+    monkeypatch.setattr(orient, "circuit_to_orientation",
+                        lambda plane, c: induce(plane, last if c == first else c))
+    code, out, err = run(capsys, "verify-all", "--format", "json")
+    assert code == 1 and "Traceback" not in err
+    (failed,) = [r for r in json.loads(out) if r["status"] != "PASS"]
+    assert failed["name"] == "fano-circuits-24" and failed["status"] == "FAIL"
+    sizes = failed["witness"]["fiber_sizes"]
+    assert sorted(size for _, size in sizes) == [2, 3, 3, 3, 3, 3, 3, 4]
+    assert sorted(tuple(map(tuple, arcs)) for arcs, _ in sizes) == sorted(
+        tuple(o.sorted_arcs()) for o in orient.all_orientations(b1))
 
 
 def test_octonion_table(capsys):

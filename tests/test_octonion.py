@@ -340,6 +340,25 @@ def test_multiply_accepts_a_table_of_lists(qr):
         assert multiply(a, b, as_lists) == multiply(a, b, table) == multiply_by_definition(a, b, table)
 
 
+@pytest.mark.parametrize("shape", [
+    lambda table: list(table),
+    lambda table: tuple(map(list, table)),
+    lambda table: [tuple(map(list, row)) for row in table],
+], ids=["list-of-rows", "tuple-of-list-rows", "list-entries"])
+def test_list_and_tuple_tables_give_equal_products(qr, shape):
+    table = cartan_table(qr)
+    samples = random_octonions(20, seed=5)
+    for a, b in zip(samples, samples[1:]):
+        assert multiply(a, b, shape(table)) == multiply(a, b, table)
+
+
+@pytest.mark.parametrize("table", [5, [5] * 7, [[([1], 2)] * 7] * 7, [[{1: 2}] * 7] * 7],
+                         ids=["number", "rows-of-numbers", "list-in-an-entry", "dict-entry"])
+def test_multiply_rejects_a_table_it_cannot_read(table):
+    with pytest.raises(ValueError):
+        multiply(ONE, ONE, table)
+
+
 def test_automorphisms_of_a_table_of_lists(qr):
     table = cartan_table(qr)
     as_lists = [[list(entry) for entry in row] for row in table]

@@ -1,10 +1,15 @@
 import json
+import os
 import re
-from itertools import permutations, product
+import subprocess
+import sys
+from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fano21 import orient
 from fano21.cli import main
 from fano21.perms import Perm, affine_perm, group_from_elements, identity
 from fano21.steiner import (
@@ -25,6 +30,8 @@ from fano21.orient import (
     OrientationError,
     OutNeighborsNotBlock,
     RepeatedPoint,
+    _circuits,
+    _orientations,
     all_circuits,
     all_orientations,
     canonical_circuit,
@@ -40,6 +47,8 @@ from fano21.orient import (
 )
 
 QR_ARCS = [(x, (x + d) % 7) for x in range(7) for d in (1, 2, 4)]
+ALL_TRIPLES = frozenset(map(frozenset, combinations(range(7), 3)))
+ALL_DARTS = frozenset(permutations(range(7), 2))
 
 
 def all_orientations_by_sweep(plane):
@@ -339,6 +348,47 @@ def test_enumerations_match_sweeps_on_relabellings(b1, images):
     plane = map_sts(Perm(tuple(images)), b1)
     assert all_orientations(plane) == all_orientations_by_sweep(plane)
     assert all_circuits(plane) == all_circuits_by_sweep(plane)
+
+
+def test_carried_enumerations_equal_the_direct_search(all_planes):
+    # b1's covers relabelled onto each plane, against the unrestricted
+    # covers searched on that plane, element by element and in order
+    for plane in all_planes:
+        assert all_orientations(plane) == _orientations(plane, ALL_TRIPLES)
+        assert all_circuits(plane) == _circuits(plane, ALL_DARTS)
+
+
+def test_enumerate_output_equals_the_direct_search(all_planes, tmp_path, monkeypatch, capsys):
+    paths = []
+    for i, plane in enumerate(all_planes):
+        paths.append(tmp_path / f"plane{i}.json")
+        paths[-1].write_text(json.dumps(plane.to_json()))
+
+    def outputs():
+        found = []
+        for path, kind, form in product(paths, ("mates", "orientations", "circuits"),
+                                        ("text", "json")):
+            code = main(["enumerate", kind, "--design", str(path), "--format", form])
+            found.append((code, capsys.readouterr().out))
+        return found
+
+    carried = outputs()
+    monkeypatch.setattr(orient, "all_orientations", lambda p: _orientations(p, ALL_TRIPLES))
+    monkeypatch.setattr(orient, "all_circuits", lambda p: _circuits(p, ALL_DARTS))
+    assert carried == outputs()
+    assert {code for code, _ in carried} == {0}
+
+
+def test_b1_covers_are_not_built_at_import():
+    env = dict(os.environ, PYTHONPATH=str(Path(orient.__file__).parents[1]))
+    probe = ("import fano21.cli, fano21.orient as o, fano21.steiner as s; "
+             "caches = (o._b1_covers,); "
+             "print(*(c.cache_info().currsize for c in caches)); "
+             "o.all_orientations(s.fano_b2()), o.all_circuits(s.fano_b2()); "
+             "print(*(c.cache_info().currsize for c in caches))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0", "1"]
 
 
 # Each orientation as the out-neighbors of 0..6, in output order.

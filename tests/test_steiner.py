@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -34,6 +35,7 @@ from fano21.steiner import (
     exact_covers,
     fano_b1,
     fano_b2,
+    is_isomorphic,
     isomorphisms,
     isomorphisms_bruteforce,
     map_sts,
@@ -274,6 +276,26 @@ def test_isomorphisms_onto_relabelling(make, count, data):
         assert sorted(p.images) == list(range(system.v))
         image = {tuple(sorted(map(p, b))) for b in system.blocks}
         assert image == target.block_set()
+
+
+@pytest.mark.parametrize("make", [fano_b1, cyclic_sts13, sts15_61], ids=["b1", "sts13", "sts61"])
+@pytest.mark.parametrize("seed", range(4))
+def test_is_isomorphic_onto_seeded_relabelling(make, seed):
+    # the kernel's first map, which carries the blocks onto the target's
+    system = make()
+    images = list(range(system.v))
+    random.Random(seed).shuffle(images)
+    target = map_sts(Perm(tuple(images)), system)
+    sigma = is_isomorphic(system, target)
+    assert map_sts(sigma, system) == target
+    assert sigma in isomorphisms(system, target)
+
+
+def test_is_isomorphic_without_a_map(sts61, pg32, b1):
+    assert is_isomorphic(sts61, pg32) is None
+    assert is_isomorphic(pg32, sts61) is None
+    with pytest.raises(PointSetMismatch):
+        is_isomorphic(b1, cyclic_sts13())
 
 
 def test_generating_order(ag23):
