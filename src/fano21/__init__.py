@@ -52,6 +52,7 @@ from .kirkman import (
     parallel_classes,
     resolution_61,
     sts15_61,
+    sts15_from_pair,
     sts_automorphism_group15,
 )
 from .octonion import Octonion, cartan_table, is_algebra_automorphism, multiply, norm

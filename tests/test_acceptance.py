@@ -48,6 +48,14 @@ def test_certificate_fails_without_a_subplane(monkeypatch):
     assert report.witness == {"subplane_count": 0}
 
 
+def test_certificate_fails_when_the_classes_do_not_partition_the_blocks(monkeypatch):
+    first = kirkman.parallel_classes(kirkman.sts15_61())[0]
+    monkeypatch.setattr(kirkman, "parallel_classes", lambda system: [first] * 7)
+    report = run_check("sts15-61")
+    assert report.status == "FAIL"
+    assert report.witness == {"classes": [first] * 7}
+
+
 def test_certificate_fails_when_an_orientation_is_dropped(monkeypatch):
     search = orient.all_orientations
     monkeypatch.setattr(orient, "all_orientations", lambda plane: search(plane)[1:])

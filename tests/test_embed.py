@@ -130,6 +130,9 @@ def test_is_triangular_agrees_with_face_lengths(classical):
     # completions, on the classical rotation with two neighbors swapped at
     # one vertex, and on random rotations
     rotations = _all_completions()
+    # each completion's rotation at every vertex is one 6-cycle
+    for r in rotations:
+        assert rotation_from_cycles(7, [r.cycle_at(x) for x in range(7)]) == r
     for x in range(7):
         for i, j in combinations(range(6), 2):
             cycles = {w: list(classical.cycle_at(w)) for w in range(7)}

@@ -7,16 +7,18 @@ from hypothesis import given, settings, strategies as st
 from fano21.perms import Perm, generate_group
 from fano21.steiner import (
     StsError,
+    all_fano_planes,
     common_automorphism_group,
     cyclic_sts13,
+    is_isomorphic,
     map_sts,
+    negate_sts,
+    orthogonal_mates,
     validate_sts,
 )
 from fano21.kirkman import (
-    BASE_PARALLEL_CLASS_61,
     INFINITY,
     Resolution,
-    doubling15,
     fano_subplanes,
     kts_automorphism_group,
     parallel_classes,
@@ -24,10 +26,42 @@ from fano21.kirkman import (
     point_name,
     resolution_61,
     restriction_to_p,
+    sts15_from_pair,
     sts_automorphism_group15,
     structured_automorphism_group61,
-    translation15,
 )
+
+# Oracle: #61 as the translates (mod 7) of five base blocks, and its
+# resolution as the translates of one base parallel class.
+BASE_BLOCKS_61 = (
+    (0, 7, 14),  # 0 0' inf
+    (0, 1, 3),
+    (0, 8, 13),  # 0 1' 6'
+    (0, 9, 12),  # 0 2' 5'
+    (0, 10, 11),  # 0 3' 4'
+)
+
+BASE_PARALLEL_CLASS_61 = (
+    (0, 7, 14),  # 0 0' inf
+    (1, 2, 4),
+    (3, 8, 12),  # 3 1' 5'
+    (5, 11, 13),  # 5 4' 6'
+    (6, 9, 10),  # 6 2' 3'
+)
+
+
+def lift(sigma):
+    """n -> sigma(n), n' -> sigma(n)', inf -> inf."""
+    return Perm(sigma.images + tuple(n + 7 for n in sigma.images) + (INFINITY,))
+
+
+def affine15(a, b):
+    """The lift of n -> an + b (mod 7)."""
+    return lift(Perm(tuple((a * n + b) % 7 for n in range(7))))
+
+
+def translate(block, z):
+    return tuple(sorted(affine15(1, z)(p) for p in block))
 
 
 def test_point_names_round_trip():
@@ -53,11 +87,44 @@ def test_sts15_61_basics(sts61):
     assert (2, 3, 5) in sts61.block_set()
 
 
+def test_sts15_61_is_the_translates_of_the_base_blocks(sts61, b1, b2):
+    assert sts15_from_pair(b1, b2) == sts61
+    assert {translate(b, z) for b in BASE_BLOCKS_61 for z in range(7)} == sts61.block_set()
+    classes = {frozenset(translate(b, z) for b in BASE_PARALLEL_CLASS_61) for z in range(7)}
+    assert set(map(frozenset, resolution_61().classes)) == classes
+
+
+def test_sts15_from_every_orthogonal_pair_is_61(sts61):
+    # each of the 240 ordered pairs gives #61, with Aut the lift of the
+    # common group, a forced resolution and f as its only Fano subplane
+    count = 0
+    for f in all_fano_planes():
+        for s in orthogonal_mates(f):
+            system = sts15_from_pair(f, s)
+            assert is_isomorphic(system, sts61) is not None
+            aut = sts_automorphism_group15(system)
+            assert set(aut.elements) == set(map(lift, common_automorphism_group(f, s)))
+            classes = parallel_classes(system)
+            assert len(classes) == 7
+            assert sorted(b for cls in classes for b in cls) == list(system.blocks)
+            assert fano_subplanes(system) == [(tuple(range(7)), f)]
+            count += 1
+    assert count == 240
+
+
+@pytest.mark.parametrize("pair", ["b1-b1", "b1-sts13", "sts13-negated"])
+def test_sts15_from_pair_rejects_other_inputs(pair, b1):
+    sts13 = cyclic_sts13()
+    f, s = {"b1-b1": (b1, b1), "b1-sts13": (b1, sts13),
+            "sts13-negated": (sts13, negate_sts(sts13))}[pair]
+    with pytest.raises(StsError, match="inputs are not orthogonal Fano planes") as info:
+        sts15_from_pair(f, s)
+    assert info.type is StsError
+
+
 def test_sts15_61_translation_invariant(sts61):
     for z in range(7):
-        t = translation15(z)
-        mapped = {tuple(sorted(t(x) for x in b)) for b in sts61.blocks}
-        assert mapped == sts61.block_set()
+        assert {translate(b, z) for b in sts61.blocks} == sts61.block_set()
 
 
 def test_unique_fano_subplane(sts61, b1):
@@ -137,9 +204,9 @@ def test_resolution_validation(sts61):
 def test_automorphism_group_order(sts61):
     g = sts_automorphism_group15(sts61)
     assert g.order == 21
-    assert translation15(1) in g
-    assert doubling15() in g
-    assert g.elements == generate_group(15, [translation15(1), doubling15()]).elements
+    assert affine15(1, 1) in g
+    assert affine15(2, 0) in g
+    assert g.elements == generate_group(15, [affine15(1, 1), affine15(2, 0)]).elements
 
 
 def test_structured_oracle_agrees(sts61):
@@ -177,7 +244,7 @@ def test_kts_automorphism_group(sts61):
     # every STS automorphism already permutes the seven classes
     assert g.elements == sts_automorphism_group15(sts61).elements
     # translation by one permutes the classes in a single 7-cycle
-    t = translation15(1)
+    t = affine15(1, 1)
     classes = [frozenset(c) for c in res.classes]
     image = {
         cls: frozenset(tuple(sorted(t(x) for x in b)) for b in cls)
