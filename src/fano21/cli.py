@@ -60,10 +60,8 @@ def _load_json(path: str) -> dict:
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", 2)
     except json.JSONDecodeError as exc:
-        raise CliError(
-            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            2,
-        )
+        message = f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        raise CliError(f"{path}: {message}", 2)
 
 
 def _input_from_args(args: argparse.Namespace, kind: str):
@@ -140,16 +138,9 @@ def cmd_faces(args: argparse.Namespace) -> int:
         coloring = None
         color_json = None
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "faces": [list(f.walk) for f in faces],
-                    "euler_characteristic": chi,
-                    "coloring": color_json,
-                },
-                indent=2,
-            )
-        )
+        out = {"faces": [list(f.walk) for f in faces], "euler_characteristic": chi,
+               "coloring": color_json}
+        print(json.dumps(out, indent=2))
     else:
         for f in faces:
             print("face: (" + " ".join(str(v) for v in f.walk) + ")")
@@ -158,14 +149,8 @@ def cmd_faces(args: argparse.Namespace) -> int:
         if coloring is None:
             print("coloring: NotTwoColorable")
         else:
-            print(
-                "class A: "
-                + " ".join(_block_str(s, rotation.n) for s in coloring.class_a_sets())
-            )
-            print(
-                "class B: "
-                + " ".join(_block_str(s, rotation.n) for s in coloring.class_b_sets())
-            )
+            for name, sets in ("A", coloring.class_a_sets()), ("B", coloring.class_b_sets()):
+                print(f"class {name}: " + " ".join(_block_str(s, rotation.n) for s in sets))
     if args.dot:
         print(embed.to_dot(rotation), end="")
     return 0
@@ -232,9 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_all)
 
     p = sub.add_parser("enumerate", help="list mates, orientations, circuits or classes")
-    p.add_argument(
-        "kind", choices=("mates", "orientations", "circuits", "parallel-classes")
-    )
+    p.add_argument("kind", choices=("mates", "orientations", "circuits", "parallel-classes"))
     p.add_argument("--design", help="design JSON file")
     p.add_argument("--builtin", help=f"builtin design: {', '.join(BUILTIN_DESIGNS)}")
     p.add_argument("--format", choices=("text", "json"), default="text")

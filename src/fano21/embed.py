@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .perms import Perm, PermGroup, _unchecked, stabilizer
+from .perms import Perm, PermGroup, _unchecked
 from .steiner import exact_covers
 
 PRESERVING = "Preserving"
@@ -214,7 +214,8 @@ def is_triangular(rotation: RotationSystem) -> bool:
     """All faces have length 3, tested locally: rho_z(x) = y for each dart
     (x, y) and z = rho_x(y).  The face walk (y, x) -> (x, z) -> (z, y) then
     steps to (y, rho_y(z)) = (y, x) by the test at (z, x); conversely, a
-    face of length 3 through (y, x) gives the test at (x, y)."""
+    face of length 3 through (y, x) gives the test at (x, y).  The darts
+    x < y alone do not decide: a rotation of K7 with a 9-face passes them."""
     return all(rotation.rho(rotation.rho(x, y), x) == y
                for x, y in permutations(range(rotation.n), 2))
 
@@ -317,11 +318,14 @@ def embedding_automorphism_group(rotation: RotationSystem) -> PermGroup:
 
 def color_automorphism_group(rotation: RotationSystem) -> PermGroup:
     """Embedding automorphisms fixing both color classes, each class the
-    set of its faces' vertex sets."""
-    coloring = two_coloring(rotation)
-    classes = [frozenset(frozenset(f.walk) for f in faces)
-               for faces in (coloring.class_a, coloring.class_b)]
-    return stabilizer(embedding_automorphism_group(rotation), *classes)
+    set of its faces' vertex sets; a stabilizer, so no closure check.  One
+    class decides: an automorphism carries faces to faces and adjacent ones
+    to adjacent ones, so it maps the 2-coloring of the connected face graph
+    to a proper one, which keeps both classes or swaps them."""
+    class_a = {frozenset(f.walk) for f in two_coloring(rotation).class_a}
+    keep = [p for p in embedding_automorphism_group(rotation)
+            if all(frozenset(map(p.images.__getitem__, f)) in class_a for f in class_a)]
+    return PermGroup(rotation.n, tuple(keep))
 
 
 def triangular_completions(rho0: Sequence[int]) -> list[RotationSystem]:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from .orient import OrientedFano, qr_orientation
 from .perms import Perm
-from .steiner import canonical_block, isomorphisms, validate_sts
+from .steiner import isomorphisms, validate_sts
 
 SignedBasis = tuple[int, int]  # (sign, basis index); (-1, 0) encodes -1
 Table = tuple[tuple[SignedBasis, ...], ...]
@@ -195,19 +195,18 @@ def is_algebra_automorphism(sigma: Perm, table: Table | None = None) -> bool:
 def algebra_automorphism_perms(table: Table | None = None) -> list[Perm]:
     """All basis permutations (as degree-7 point permutations) that are
     algebra automorphisms, sorted.  The table's Fano plane has the lines
-    {e_i, e_j, e_k} with e_i e_j = +-e_k; an automorphism permuting the
-    basis carries lines to lines, so filtering the plane's 168
-    collineations misses none."""
+    {e_i, e_j, e_k} with e_i e_j = +-e_k, and an automorphism permuting the
+    basis carries lines to lines and keeps every sign, so the candidates are
+    the collineations that carry the pairs (x, y) with e_x e_y = +e_k onto
+    themselves, one kernel search; :func:`is_algebra_automorphism` decides."""
     if table is None:
         table = cartan_table()
-    lines = {
-        canonical_block(unit_to_point(u) for u in (i, j, table[i - 1][j - 1][1]))
-        for i in range(1, 8)
-        for j in range(1, 8)
-        if i != j
-    }
-    plane = validate_sts(7, sorted(lines))
-    return [p for p in isomorphisms(plane, plane) if is_algebra_automorphism(p, table)]
+    units = range(1, 8)
+    pairs = [(i % 7, j % 7, table[i - 1][j - 1]) for i in units for j in units if i != j]
+    plane = validate_sts(7, {tuple(sorted((x, y, unit_to_point(k)))) for x, y, (_, k) in pairs})
+    plus = {(x, y) for x, y, (sign, _) in pairs if sign == 1}
+    candidates = isomorphisms(plane, plane, arcs=(plus, plus))
+    return [p for p in candidates if is_algebra_automorphism(p, table)]
 
 
 def random_octonions(count: int, lo: int = -9, hi: int = 9, seed: int = 21) -> list[Octonion]:

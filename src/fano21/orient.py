@@ -14,17 +14,17 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .perms import Perm, PermGroup, stabilizer
+from .perms import Perm, PermGroup
 from .steiner import (
     StsError,
     Triple,
     TripleSystem,
     are_orthogonal,
-    automorphism_group,
     canonical_block,
     exact_covers,
     fano_b1,
     is_isomorphic,
+    isomorphisms,
     map_sts,
     validate_sts,
 )
@@ -191,8 +191,10 @@ def map_orientation(sigma: Perm, oriented: OrientedFano) -> OrientedFano:
 
 
 def oriented_automorphism_group(oriented: OrientedFano) -> PermGroup:
-    """Plane automorphisms that stabilize the arcs, as ordered pairs."""
-    return stabilizer(automorphism_group(oriented.plane), oriented.arcs)
+    """Plane automorphisms that stabilize the arcs, as ordered pairs: one
+    kernel search, with no closure check, as a stabilizer is a subgroup."""
+    plane, arcs = oriented.plane, oriented.arcs
+    return PermGroup(plane.v, tuple(isomorphisms(plane, plane, arcs=(arcs, arcs))))
 
 
 def reverse(oriented: OrientedFano) -> OrientedFano:
@@ -212,13 +214,10 @@ class FanoCircuit:
 def canonical_circuit(seq: Sequence[int]) -> tuple[int, ...]:
     """Rotate to start at 0; of the sequence and its reversal keep the
     lexicographically smaller."""
-    seq = tuple(seq)
-    i = seq.index(0)
-    fwd = seq[i:] + seq[:i]
-    rev = tuple(reversed(seq))
-    j = rev.index(0)
-    bwd = rev[j:] + rev[:j]
-    return min(fwd, bwd)
+    fwd = tuple(seq)
+    bwd = fwd[::-1]
+    i, j = fwd.index(0), bwd.index(0)
+    return min(fwd[i:] + fwd[:i], bwd[j:] + bwd[:j])
 
 
 def validate_circuit(plane: TripleSystem, seq: Sequence[int]) -> FanoCircuit:

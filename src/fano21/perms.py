@@ -80,10 +80,7 @@ class Perm:
         return out
 
     def cycle_string(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycs)
+        return "".join("(" + " ".join(str(x) for x in c) + ")" for c in self.cycles()) or "()"
 
     def to_json(self) -> list[int]:
         return list(self.images)
@@ -284,7 +281,8 @@ def _image(images: tuple[int, ...], x):
 def stabilizer(group: PermGroup, *structures: frozenset) -> PermGroup:
     """The elements of ``group`` that map every structure onto itself, with no
     closure check: the stabilizer of a set in a group is a subgroup (Seress,
-    *Permutation Group Algorithms*, 2003, section 3).
+    *Permutation Group Algorithms*, 2003, section 3).  It builds the KTS group
+    and the #61 oracle; a structure the STS kernel reads is pruned in its search.
 
     A structure is a frozenset of points, of point tuples, or of such sets
     nested to any depth.  A tuple maps pointwise in order, as an arc must;

@@ -12,7 +12,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .perms import Perm, PermGroup, _unchecked, group_from_chain, stabilizer
+from .perms import Perm, PermGroup, _unchecked, group_from_chain
 
 Triple = tuple[int, int, int]
 ThirdTable = tuple[tuple[int, ...], ...]
@@ -235,17 +235,26 @@ def closure(
             i += 1
 
 
-def isomorphisms(s1: TripleSystem, s2: TripleSystem) -> list[Perm]:
-    """All block-preserving bijections s1 -> s2, sorted by image tuple.
+def isomorphisms(s1: TripleSystem, s2: TripleSystem, arcs: tuple | None = None,
+                 mate: tuple[TripleSystem, TripleSystem] | None = None) -> list[Perm]:
+    """All block-preserving bijections s1 -> s2, sorted by image tuple; with
+    ``arcs = (a1, a2)``, sets of ordered pairs, those carrying a1 onto a2, and
+    with ``mate = (m1, m2)``, systems on the same points, those carrying the
+    blocks of m1 onto blocks of m2.
 
-    Runs the search kernel compiled for s1, a straight-line function built
-    on first use and kept for the last 64 source systems (see
-    :func:`_isomorphism_kernel`), on the third-point table of s2.  Its
-    checks prove each image tuple a bijection, so Perm's own check is skipped.
+    Runs the search kernel compiled for s1 (and m1), a straight-line function
+    built on first use and kept for the last 64 keys (see
+    :func:`_isomorphism_kernel`), on the third-point table of s2 (and m2).
+    Its checks prove each image tuple a bijection, so Perm's own check is skipped.
     """
-    if s1.v != s2.v:
-        raise PointSetMismatch(s1.v, s2.v)
-    return list(map(_unchecked, sorted(_isomorphism_kernel(s1)(s2.third_table))))
+    v, tables = s1.v, [s2.third_table]
+    for s in (s2, *(mate or ())):
+        if s.v != v:
+            raise PointSetMismatch(v, s.v)
+    tables += [tuple(tuple((x, y) in a for y in range(v)) for x in range(v)) for a in arcs or ()]
+    tables += [m.third_table for m in (mate or ())[1:]]
+    kernel = _isomorphism_kernel(s1, False, bool(arcs), mate and mate[0])
+    return list(map(_unchecked, sorted(kernel(*tables))))
 
 
 def is_isomorphic(s1: TripleSystem, s2: TripleSystem) -> Perm | None:
@@ -257,10 +266,14 @@ def is_isomorphic(s1: TripleSystem, s2: TripleSystem) -> Perm | None:
 
 
 @lru_cache(maxsize=64)
-def _isomorphism_kernel(s1: TripleSystem, first: bool = False) -> Callable[..., list[tuple]]:
+def _isomorphism_kernel(s1: TripleSystem, first: bool = False, arcs: bool = False,
+                        mate: TripleSystem | None = None) -> Callable[..., list[tuple]]:
     """The isomorphism search from s1, compiled to one straight-line function
     of the third-point table t2 of a target system, returning the image tuple
     of every isomorphism in the order found, or with ``first`` of the first.
+    With ``arcs`` it also takes v x v tables r1, r2 and keeps the maps with
+    ``r2[ix][iy] == r1[x][y]`` for x != y; with ``mate``, the third-point
+    table u2 of a second target, onto whose blocks it carries mate's.
 
     The points of s1 are placed in their :func:`closure` order, the image
     of point x held in the local ``ix``.  Base point j loops over the images
@@ -268,18 +281,20 @@ def _isomorphism_kernel(s1: TripleSystem, first: bool = False) -> Callable[..., 
     derived point, the third point of an earlier pair {a, b}, takes the one
     image ``t2[ia][ib]``, and the branch dies if that is -1.  Every other
     block {a, b, c} of s1 is checked once, where the last of its points, c,
-    is placed: ``t2[ia][ib]`` must be ``ic``.
+    is placed: ``t2[ia][ib]`` must be ``ic``.  So is each block of mate in
+    u2, and each pair {x, y} in r1 and r2 where the later point is placed.
 
     These checks prove that a leaf is an isomorphism.  Each block of s1
     either defines a derived point or is checked, so its three images form
     a block of s2 and are distinct.  Any two points of s1 lie in a block,
     so the map is injective, hence a bijection, and it carries the blocks
-    of s1 onto blocks of s2.  No check is needed where a base point is
+    of s1 onto blocks of s2.  A leaf carries each extra arc or block onto
+    one, as each is checked.  No check of s1 is needed where a base point is
     placed: the points before it are closed, so no block has its last
     point there, nor a test that base point b takes a new image: for each
     earlier point q, the third point of {q, b} is derived right after b as
     ``t2[iq][ib]``, -1 exactly when ib == iq.  The source holds only v and
-    the points of s1, which :func:`validate_sts` checks to be ints.
+    the points of s1 and mate, which :func:`validate_sts` checks to be ints.
     """
     order = list(closure(s1, range(s1.v)))
     position = {x: k for k, (x, _) in enumerate(order)}
@@ -289,9 +304,16 @@ def _isomorphism_kernel(s1: TripleSystem, first: bool = False) -> Callable[..., 
         pair = order[position[c]][1]
         if pair is None or {a, b} != set(pair):
             checks[position[c]].append(f"if t2[i{a}][i{b}] != i{c}: continue")
+    for block in mate.blocks if mate else ():
+        a, b, c = sorted(block, key=position.__getitem__)
+        checks[position[c]].append(f"if u2[i{a}][i{b}] != i{c}: continue")
+    for x, y in combinations(range(s1.v) if arcs else (), 2):
+        checks[max(position[x], position[y])].append(
+            f"if r2[i{x}][i{y}] != r1[{x}][{y}] or r2[i{y}][i{x}] != r1[{y}][{x}]: continue")
     base = [x for x, pair in order if pair is None]
     domains = ", ".join(f"d{j}=range({s1.v})" for j in range(len(base)))
-    lines = [f"def kernel(t2, {domains}):", " out = []"]
+    tables = ", ".join(["t2"] + ["r1", "r2"] * arcs + ["u2"] * bool(mate))
+    lines = [f"def kernel({tables}, {domains}):", " out = []"]
     pad = " "
     for (x, pair), tests in zip(order, checks):
         if pair is None:
@@ -354,10 +376,9 @@ def automorphism_group(system: TripleSystem) -> PermGroup:
 
 
 def common_automorphism_group(s1: TripleSystem, s2: TripleSystem) -> PermGroup:
-    """Automorphisms of s1 that stabilize the blocks of s2, as point sets."""
-    if s1.v != s2.v:
-        raise PointSetMismatch(s1.v, s2.v)
-    return stabilizer(automorphism_group(s1), frozenset(map(frozenset, s2.blocks)))
+    """Automorphisms of s1 that stabilize the blocks of s2, as point sets: one
+    kernel search, with no closure check, as a stabilizer is a subgroup."""
+    return PermGroup(s1.v, tuple(isomorphisms(s1, s1, mate=(s2, s2))))
 
 
 def exact_covers(

@@ -121,6 +121,17 @@ def test_is_triangular(classical):
     assert not is_triangular(validate_rotation(7, cycles))
 
 
+def test_is_triangular_tests_both_darts_of_each_edge():
+    # 11 triangles and the face 0 1 6 2 5 6 1 3 6: the local test holds at
+    # every dart (x, y) with x < y, and fails only at darts with x > y
+    cycles = [(1, 2, 3, 4, 5, 6), (0, 6, 3, 5, 4, 2), (0, 1, 4, 6, 5, 3), (0, 2, 5, 1, 6, 4),
+              (0, 3, 6, 2, 1, 5), (0, 4, 1, 3, 2, 6), (0, 5, 1, 2, 4, 3)]
+    rotation = rotation_from_cycles(7, cycles)
+    assert sorted(map(len, trace_faces(rotation))) == [3] * 11 + [9]
+    assert all(rotation.rho(rotation.rho(x, y), x) == y for x, y in combinations(range(7), 2))
+    assert not is_triangular(rotation)
+
+
 def _all_completions():
     return [r for rest in permutations(range(2, 7)) for r in triangular_completions((1, *rest))]
 

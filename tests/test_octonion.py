@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fano21
+from fano21 import steiner
 from fano21.orient import all_orientations, oriented_automorphism_group
 from fano21.perms import Perm, group_from_elements, identity
 from fano21.octonion import (
@@ -186,6 +187,18 @@ def test_automorphism_perms_match_sweep(b1):
         swept = [p for images in permutations(range(7))
                  if is_algebra_automorphism(p := Perm(images), table)]
         assert algebra_automorphism_perms(table) == swept
+
+
+def test_orientations_and_tables_share_one_kernel_per_plane(all_planes):
+    # the arcs and the + signs reach the kernel as data, so the 240 oriented
+    # groups and the 240 tables compile one kernel for each of the 30 planes
+    oriented = [o for plane in all_planes for o in all_orientations(plane)]
+    tables = [cartan_table(o) for o in oriented]
+    steiner._isomorphism_kernel.cache_clear()
+    for o, table in zip(oriented, tables):
+        oriented_automorphism_group(o)
+        algebra_automorphism_perms(table)
+    assert steiner._isomorphism_kernel.cache_info().misses == 30
 
 
 def _maps_products(sigma, table):

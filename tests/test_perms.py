@@ -1,10 +1,11 @@
 import math
+from itertools import permutations
 from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fano21 import embed, kirkman, orient, steiner
+from fano21 import embed, kirkman, octonion, orient, steiner
 from fano21.perms import (
     DegreeMismatch,
     NotAPermutation,
@@ -280,6 +281,65 @@ def test_stabilizer_of_nested_classes(sts61, ag23):
     classes = [frozenset(map(frozenset, cls)) for cls in kirkman.parallel_classes(ag23)]
     assert stabilizer(aut, frozenset(classes)).order == 432
     assert stabilizer(aut, *classes).order == 18
+
+
+# The structured groups are pruned searches; the stabilizer in the full
+# group is their oracle, element for element and in order.
+
+def _all_orientations(planes):
+    return [o for plane in planes for o in orient.all_orientations(plane)]
+
+
+def test_common_group_is_the_stabilizer_on_every_pair(all_planes, b1):
+    # the 240 ordered orthogonal pairs, (b1, b1) and STS(13) with its negation
+    sts13 = steiner.cyclic_sts13()
+    pairs = [(plane, mate) for plane in all_planes for mate in steiner.orthogonal_mates(plane)]
+    pairs += [(b1, b1), (sts13, steiner.negate_sts(sts13))]
+    for s1, s2 in pairs:
+        blocks = frozenset(map(frozenset, s2.blocks))
+        expected = stabilizer(steiner.automorphism_group(s1), blocks).elements
+        assert steiner.common_automorphism_group(s1, s2).elements == expected
+    assert len(pairs) == 242
+    assert steiner.common_automorphism_group(b1, b1).order == 168
+
+
+def test_oriented_group_is_the_stabilizer_on_every_orientation(all_planes):
+    oriented = _all_orientations(all_planes)
+    for o in oriented:
+        expected = stabilizer(steiner.automorphism_group(o.plane), o.arcs).elements
+        assert orient.oriented_automorphism_group(o).elements == expected
+    assert len(oriented) == 240
+
+
+def test_algebra_automorphisms_are_the_definition_on_every_table(all_planes, monkeypatch):
+    # the table of each of the 240 orientations and its transpose, the table
+    # of the opposite algebra, against the definition on all 168 collineations;
+    # the kernel keeps the signs, so the definition checks only the 21 it finds
+    definition, checked = octonion.is_algebra_automorphism, []
+    monkeypatch.setattr(octonion, "is_algebra_automorphism",
+                        lambda p, t: checked.append(p) or definition(p, t))
+    for o in _all_orientations(all_planes):
+        table = octonion.cartan_table(o)
+        for t in (table, tuple(zip(*table))):
+            expected = [p for p in steiner.automorphism_group(o.plane) if definition(p, t)]
+            assert octonion.algebra_automorphism_perms(t) == expected
+            assert len(expected) == 21
+    assert len(checked) == 480 * 21
+
+
+def test_color_group_is_the_stabilizer_of_both_classes():
+    # the 240 triangular rotations of K7, and K3, whose two faces share one
+    # vertex set: both classes are {0, 1, 2}, and all 6 maps are kept
+    rotations = [r for rest in permutations(range(2, 7))
+                 for r in embed.triangular_completions((1, *rest))]
+    rotations.append(embed.rotation_from_cycles(3, [(1, 2), (2, 0), (0, 1)]))
+    for r in rotations:
+        coloring = embed.two_coloring(r)
+        classes = [frozenset(frozenset(f.walk) for f in faces)
+                   for faces in (coloring.class_a, coloring.class_b)]
+        expected = stabilizer(embed.embedding_automorphism_group(r), *classes).elements
+        assert embed.color_automorphism_group(r).elements == expected
+    assert len(rotations) == 241 and len(expected) == 6
 
 
 def test_groups_reject_a_repeated_element(b1):

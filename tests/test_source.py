@@ -46,6 +46,13 @@ def test_only_perms_reads_the_closure_oracle():
     assert set(library_readers("group_from_elements")) <= {"perms.py"}
 
 
+def test_only_perms_and_kirkman_read_the_stabilizer():
+    # the common, oriented and algebra groups are pruned kernel searches and
+    # the colour group a one-class test; the filter stays for the KTS group
+    # and the #61 oracle
+    assert set(library_readers("stabilizer")) <= {"perms.py", "kirkman.py"}
+
+
 def test_only_steiner_reads_the_isomorphism_kernel():
     # other modules search through isomorphisms, is_isomorphic or
     # automorphism_chain, one boundary at which to count the kernel's work
