@@ -47,10 +47,8 @@ from .embed import (
     validate_rotation,
 )
 from .kirkman import (
-    Resolution,
     kts_automorphism_group,
     parallel_classes,
-    resolution_61,
     sts15_61,
     sts15_from_pair,
     sts_automorphism_group15,

@@ -220,16 +220,16 @@ def check_sts15_61() -> dict:
     classes = kirkman.parallel_classes(sts)
     _require(len(classes) == 7, class_count=len(classes))
     _require(sorted(b for cls in classes for b in cls) == list(sts.blocks), classes=classes)
-    res = kirkman.Resolution(sts, tuple(map(tuple, classes)))
     group = kirkman.sts_automorphism_group15(sts)
     _require(group.order == 21, order=group.order)
     _require(classify_order21(group) == "Frobenius21")
-    structured = kirkman.structured_automorphism_group61(sts)
-    _require(group.elements == structured.elements)
-    restricted = kirkman.restriction_to_p(group)
+    # Aut is the lift of the pair's common group: sigma on 0..6, n' -> sigma(n)'
+    # and inf fixed; a v = 7 kernel search against the v = 15 chain search
     common = steiner.common_automorphism_group(steiner.fano_b1(), steiner.fano_b2())
-    _require(restricted.elements == common.elements)
-    kts = kirkman.kts_automorphism_group(res)
+    lifts = sorted(Perm(sigma.images + tuple(n + 7 for n in sigma.images) + (kirkman.INFINITY,))
+                   for sigma in common)
+    _require(list(group.elements) == lifts, lifts=[p.to_json() for p in lifts])
+    kts = kirkman.kts_automorphism_group(sts, classes)
     _require(kts.elements == group.elements, kts_order=kts.order)
     return {"blocks": 35, "fano_subplanes": 1, "parallel_classes": 7,
             "aut_order": 21, "kts_aut_order": kts.order}

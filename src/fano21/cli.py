@@ -62,6 +62,8 @@ def _load_json(path: str) -> dict:
     except json.JSONDecodeError as exc:
         message = f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         raise CliError(f"{path}: {message}", 2)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, nested too deep, a huge int
+        raise CliError(f"{path}: {exc}", 2)
 
 
 def _input_from_args(args: argparse.Namespace, kind: str):

@@ -90,10 +90,11 @@ def validate_rotation(n: int, rotation: Mapping[int, Sequence]) -> RotationSyste
     for key in rotation:
         if type(key) is not int or not 0 <= key < n:
             raise RotationError(f"rotation key {key!r} is not a vertex 0..{n - 1}")
+    if len(rotation) < n:  # the keys are distinct vertices, so one is missing
+        missing = next(x for x in range(n) if x not in rotation)
+        raise RotationError(f"no rotation given for vertex {missing}")
     succ: list[tuple[int, ...]] = []
     for x in range(n):
-        if x not in rotation:
-            raise RotationError(f"no rotation given for vertex {x}")
         value = rotation[x]
         cycles = value if value and isinstance(value[0], (list, tuple)) else [value]
         flat = [y for c in cycles for y in c]

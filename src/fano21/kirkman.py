@@ -7,10 +7,9 @@ Translation by z acts as i -> i+z and i' -> (i+z)' (mod 7), fixing 14.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, islice
 
-from .perms import Perm, PermGroup, stabilizer
+from .perms import PermGroup, stabilizer
 from .steiner import (
     StsError,
     Triple,
@@ -18,7 +17,6 @@ from .steiner import (
     are_orthogonal,
     automorphism_group,
     closure,
-    common_automorphism_group,
     exact_covers,
     fano_b1,
     fano_b2,
@@ -34,15 +32,6 @@ def point_name(p: int) -> str:
     if p >= 7:
         return f"{p - 7}'"
     return str(p)
-
-
-def parse_point(name: str) -> int:
-    """Inverse of :func:`point_name`; "oo" and "∞" also name inf."""
-    names = {point_name(p): p for p in range(15)} | {"oo": INFINITY, "∞": INFINITY}
-    try:
-        return names[name.strip()]
-    except KeyError:
-        raise ValueError(f"{name!r} is not a point name: 0..6, 0'..6' or inf") from None
 
 
 def sts15_from_pair(f: TripleSystem, s: TripleSystem) -> TripleSystem:
@@ -99,39 +88,6 @@ def parallel_classes(system: TripleSystem) -> list[list[Triple]]:
     return sorted([system.blocks[i] for i in c] for c in covers)
 
 
-@dataclass(frozen=True)
-class Resolution:
-    """An STS together with a partition of its blocks into parallel
-    classes."""
-
-    sts: TripleSystem
-    classes: tuple[tuple[Triple, ...], ...]
-
-    def __post_init__(self) -> None:
-        flat = [b for cls in self.classes for b in cls]
-        if sorted(flat) != sorted(self.sts.blocks):
-            raise StsError("classes do not partition the block set")
-        for cls in self.classes:
-            pts = sorted(x for b in cls for x in b)
-            if pts != list(range(self.sts.v)):
-                raise StsError(f"class {cls} does not partition the point set")
-
-    def to_json(self) -> dict:
-        index = {b: i for i, b in enumerate(self.sts.blocks)}
-        return {
-            "v": self.sts.v,
-            "blocks": [list(b) for b in self.sts.blocks],
-            "classes": [sorted(index[b] for b in cls) for cls in self.classes],
-        }
-
-
-def resolution_61() -> Resolution:
-    """#61 with its resolution, which is forced: #61 has exactly 7
-    parallel classes, and they partition its 35 blocks."""
-    sts = sts15_61()
-    return Resolution(sts, tuple(map(tuple, parallel_classes(sts))))
-
-
 def sts_automorphism_group15(system: TripleSystem) -> PermGroup:
     """The automorphism group of an STS(15), by the generic search."""
     if system.v != 15:
@@ -139,37 +95,8 @@ def sts_automorphism_group15(system: TripleSystem) -> PermGroup:
     return automorphism_group(system)
 
 
-def structured_automorphism_group61(system: TripleSystem) -> PermGroup:
-    """Oracle for #61-shaped systems: fix inf, extend each common automorphism
-    of the two inner Fano planes by sigma(n') = sigma(n)', keep those fixing the blocks.
-    The lifts are a group: the image of one under an injective homomorphism."""
-    lifts = [
-        Perm(small.images + tuple(n + 7 for n in small.images) + (INFINITY,))
-        for small in common_automorphism_group(fano_b1(), fano_b2())
-    ]
-    return stabilizer(PermGroup(15, tuple(lifts)), frozenset(map(frozenset, system.blocks)))
-
-
-def restriction_to_p(group: PermGroup) -> PermGroup:
-    """Restrict a group stabilizing {0..6} pointwise-compatibly to degree 7.
-
-    Every element must fix inf and stabilize the Fano point set; the
-    restriction map, a homomorphism, must be injective.
-    """
-    restricted = []
-    for sigma in group:
-        if sigma(INFINITY) != INFINITY:
-            raise StsError(f"{sigma.cycle_string()} moves the infinity point")
-        images = tuple(sigma(n) for n in range(7))
-        if sorted(images) != list(range(7)):
-            raise StsError(f"{sigma.cycle_string()} does not stabilize 0..6")
-        restricted.append(Perm(images))
-    if len(set(restricted)) != group.order:
-        raise StsError("restriction to the Fano point set is not injective")
-    return PermGroup(7, tuple(restricted))
-
-
-def kts_automorphism_group(resolution: Resolution) -> PermGroup:
-    """STS automorphisms that stabilize the set of parallel classes."""
-    classes = frozenset(frozenset(map(frozenset, cls)) for cls in resolution.classes)
-    return stabilizer(sts_automorphism_group15(resolution.sts), classes)
+def kts_automorphism_group(sts: TripleSystem, classes: list[list[Triple]]) -> PermGroup:
+    """STS automorphisms that stabilize the set of parallel classes, which
+    the caller has checked partition the blocks."""
+    structure = frozenset(frozenset(map(frozenset, cls)) for cls in classes)
+    return stabilizer(sts_automorphism_group15(sts), structure)

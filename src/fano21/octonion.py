@@ -159,10 +159,6 @@ def _unchecked(coeffs: tuple[int, ...]) -> Octonion:
     return x
 
 
-def conjugate(a: Octonion) -> Octonion:
-    return Octonion((a.coeffs[0],) + tuple(-c for c in a.coeffs[1:]))
-
-
 def norm(a: Octonion) -> int:
     """Sum of squared coefficients (the exact squared Euclidean norm)."""
     return sum(c * c for c in a.coeffs)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .perms import Perm, PermGroup
+from .perms import PermGroup
 from .steiner import (
     StsError,
     Triple,
@@ -25,7 +25,6 @@ from .steiner import (
     fano_b1,
     is_isomorphic,
     isomorphisms,
-    map_sts,
     validate_sts,
 )
 
@@ -76,9 +75,6 @@ class OrientedFano:
 
     plane: TripleSystem
     arcs: frozenset[Arc]
-
-    def out_neighbors(self, x: int) -> tuple[int, ...]:
-        return tuple(sorted(y for (a, y) in self.arcs if a == x))
 
     def in_neighbors(self, x: int) -> tuple[int, ...]:
         return tuple(sorted(a for (a, y) in self.arcs if y == x))
@@ -178,16 +174,6 @@ def _orientations(plane: TripleSystem, ins: frozenset[frozenset[int]]) -> list[O
         for c in exact_covers(items, subsets)
     ]
     return sorted(found, key=lambda o: o.sorted_arcs())
-
-
-def map_orientation(sigma: Perm, oriented: OrientedFano) -> OrientedFano:
-    """Transport the orientation along a plane automorphism.  Relabelling
-    along a map that carries blocks onto blocks keeps every axiom, so the
-    image is built unchecked."""
-    if map_sts(sigma, oriented.plane) != oriented.plane:
-        raise StsError(f"{sigma.cycle_string()} is not an automorphism of the plane")
-    arcs = frozenset((sigma(x), sigma(y)) for (x, y) in oriented.arcs)
-    return OrientedFano(oriented.plane, arcs)
 
 
 def oriented_automorphism_group(oriented: OrientedFano) -> PermGroup:

@@ -10,7 +10,6 @@ closure check; :func:`group_from_elements`, which proves one, is an oracle.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -112,31 +111,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     return _unchecked(tuple([images[y] for y in inner]))
 
 
-def perm_from_cycles(cycle_str: str, degree: int) -> Perm:
-    """Parse cycle notation like "(1 5 4 6 2 3)" or "(2 4)(3 5)".
-
-    Points absent from every cycle are fixed.  Commas between points are
-    tolerated.
-    """
-    images = list(range(degree))
-    body = cycle_str.strip()
-    if body in ("", "()"):
-        return Perm(tuple(images))
-    if not re.fullmatch(r"(\([^()]*\))+", body):
-        raise ValueError(f"bad cycle notation: {cycle_str!r}")
-    for part in re.findall(r"\(([^()]*)\)", body):
-        pts = [int(tok) for tok in re.split(r"[,\s]+", part.strip()) if tok]
-        if len(pts) < 2:
-            continue
-        if len(set(pts)) != len(pts):
-            raise ValueError(f"repeated point in cycle {part!r}")
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            if not (0 <= a < degree):
-                raise ValueError(f"point {a} out of range for degree {degree}")
-            images[a] = b
-    return Perm(tuple(images))
-
-
 def affine_perm(modulus: int, a: int, b: int) -> Perm:
     """The map x -> a*x + b (mod modulus)."""
     return Perm(tuple((a * x + b) % modulus for x in range(modulus)))
@@ -188,9 +162,6 @@ class PermGroup:
             if compose(p, q) != compose(q, p):
                 return False
         return True
-
-    def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.element_set <= other.element_set
 
 
 def _closure(degree: int, candidates: Iterable[Perm]) -> Iterator[tuple[int, ...]]:
@@ -281,8 +252,8 @@ def _image(images: tuple[int, ...], x):
 def stabilizer(group: PermGroup, *structures: frozenset) -> PermGroup:
     """The elements of ``group`` that map every structure onto itself, with no
     closure check: the stabilizer of a set in a group is a subgroup (Seress,
-    *Permutation Group Algorithms*, 2003, section 3).  It builds the KTS group
-    and the #61 oracle; a structure the STS kernel reads is pruned in its search.
+    *Permutation Group Algorithms*, 2003, section 3).  It builds the KTS group;
+    a structure the STS kernel reads is pruned in its search.
 
     A structure is a frozenset of points, of point tuples, or of such sets
     nested to any depth.  A tuple maps pointwise in order, as an arc must;

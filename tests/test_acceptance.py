@@ -56,6 +56,17 @@ def test_certificate_fails_when_the_classes_do_not_partition_the_blocks(monkeypa
     assert report.witness == {"classes": [first] * 7}
 
 
+def test_certificate_fails_when_aut_is_not_the_lift_of_the_common_group(monkeypatch):
+    # the translations alone lift to 7 automorphisms of #61, not all 21
+    monkeypatch.setattr(
+        steiner, "common_automorphism_group", lambda s1, s2: affine_group(7, {1})
+    )
+    report = run_check("sts15-61")
+    assert report.status == "FAIL"
+    translations = [[(n + b) % 7 for n in range(7)] for b in range(7)]
+    assert report.witness == {"lifts": sorted(t + [x + 7 for x in t] + [14] for t in translations)}
+
+
 def test_certificate_fails_when_an_orientation_is_dropped(monkeypatch):
     search = orient.all_orientations
     monkeypatch.setattr(orient, "all_orientations", lambda plane: search(plane)[1:])
@@ -92,8 +103,8 @@ def test_certificate_fails_when_circuits_induce_another_orientation(monkeypatch,
     # each circuit is sent to the image of its orientation under x -> x + 1,
     # which fixes qr and permutes the other 7: the fibers stay 8 of size 3
     induce, shift = orient.circuit_to_orientation, affine_perm(7, 1, 1)
-    monkeypatch.setattr(orient, "circuit_to_orientation",
-                        lambda plane, c: orient.map_orientation(shift, induce(plane, c)))
+    monkeypatch.setattr(orient, "circuit_to_orientation", lambda plane, c: orient.OrientedFano(
+        plane, frozenset((shift(x), shift(y)) for x, y in induce(plane, c).arcs)))
     report = run_check("fano-circuits-24")
     assert report.status == "FAIL"
     second = orient.all_orientations(b1)[1]

@@ -114,6 +114,35 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "line 1, column" in err
 
 
+@pytest.mark.parametrize("command", ["aut --design", "faces --rotation"])
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b"\xff\xfe{}", "can't decode byte 0xff"),
+        (b"[" * 200000, "maximum recursion depth exceeded"),
+        (b'{"n": ' + b"7" * 5000 + b"}", "Exceeds the limit"),
+    ],
+    ids=["not-utf8", "nested-too-deep", "huge-integer"],
+)
+def test_unreadable_json_exits_2(tmp_path, capsys, command, content, reason):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, _, err = run(capsys, *command.split(), str(path))
+    assert code == 2
+    assert err.startswith(f"error: {path}: ") and reason in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_rotation_of_a_huge_n_is_rejected_by_its_keys(tmp_path, capsys):
+    # a 40-byte file names K_n for n = 10^6: the missing vertex is found
+    # from the keys, before any per-vertex set of n points is built
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 10**6, "rotation": {"0": [1]}}))
+    code, _, err = run(capsys, "faces", "--rotation", str(path))
+    assert code == 1
+    assert err == "error: invalid rotation: no rotation given for vertex 1\n"
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "enumerate", "mates", "--design", "no/such.json")
     assert code == 2

@@ -17,7 +17,6 @@ from fano21.octonion import (
     algebra_automorphism_perms,
     basis_product,
     cartan_table,
-    conjugate,
     is_algebra_automorphism,
     multiply,
     norm,
@@ -163,10 +162,11 @@ def test_moufang_identities_and_norm(x, y, z):
 
 
 def test_conjugate_norm():
+    # a times its conjugate (the imaginary part negated) is N(a) times 1
     for a in random_octonions(10, seed=5):
-        n = norm(a)
-        assert multiply(a, conjugate(a)) == octonion([n, 0, 0, 0, 0, 0, 0, 0])
-        assert multiply(conjugate(a), a) == octonion([n, 0, 0, 0, 0, 0, 0, 0])
+        n, bar = norm(a), octonion([a.coeffs[0], *(-c for c in a.coeffs[1:])])
+        assert multiply(a, bar) == octonion([n, 0, 0, 0, 0, 0, 0, 0])
+        assert multiply(bar, a) == octonion([n, 0, 0, 0, 0, 0, 0, 0])
 
 
 def test_automorphism_perms(qr):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from fano21 import orient
 from fano21.cli import main
-from fano21.perms import Perm, affine_perm, group_from_elements, identity
+from fano21.perms import Perm, group_from_elements
 from fano21.steiner import (
     StsError,
     are_orthogonal,
@@ -28,6 +28,7 @@ from fano21.orient import (
     BlockNotCyclic,
     CircuitError,
     OrientationError,
+    OrientedFano,
     OutNeighborsNotBlock,
     RepeatedPoint,
     _circuits,
@@ -38,7 +39,6 @@ from fano21.orient import (
     circuit_to_orientation,
     circuits_of_orientation,
     derived_plane,
-    map_orientation,
     orientation_from_mate,
     oriented_automorphism_group,
     reverse,
@@ -48,6 +48,10 @@ from fano21.orient import (
 
 QR_ARCS = [(x, (x + d) % 7) for x in range(7) for d in (1, 2, 4)]
 ALL_TRIPLES = frozenset(map(frozenset, combinations(range(7), 3)))
+
+
+def out_neighbors(oriented, x):
+    return tuple(sorted(y for a, y in oriented.arcs if a == x))
 ALL_DARTS = frozenset(permutations(range(7), 2))
 
 
@@ -81,7 +85,7 @@ def all_circuits_by_sweep(plane):
 
 def test_validate_orientation_qr(b1):
     o = validate_orientation(b1, QR_ARCS)
-    assert o.out_neighbors(0) == (1, 2, 4)
+    assert out_neighbors(o, 0) == (1, 2, 4)
 
 
 def test_validate_orientation_flipped_arc(b1):
@@ -113,7 +117,7 @@ def test_block_cyclic_assignments_with_out_closure(b1):
 
 
 def test_qr_orientation_matches_example(qr):
-    assert qr.out_neighbors(0) == (1, 2, 4)
+    assert out_neighbors(qr, 0) == (1, 2, 4)
     assert {(2, 3), (3, 5), (5, 2)} <= qr.arcs
     assert qr.arcs == frozenset(QR_ARCS)
 
@@ -149,9 +153,9 @@ def test_derived_plane_lettered_example():
 
 def test_orientation_from_mate_partitions_each_point(b1, b2):
     o = orientation_from_mate(b1, b2)
-    assert (o.out_neighbors(0), o.in_neighbors(0)) == ((1, 2, 4), (3, 5, 6))
+    assert (out_neighbors(o, 0), o.in_neighbors(0)) == ((1, 2, 4), (3, 5, 6))
     for v in range(7):
-        outs, ins = o.out_neighbors(v), o.in_neighbors(v)
+        outs, ins = out_neighbors(o, v), o.in_neighbors(v)
         assert sorted((v, *outs, *ins)) == list(range(7))
         assert outs in b1.block_set() and ins in b2.block_set()
 
@@ -184,24 +188,13 @@ def test_all_orientations(b1, qr):
     assert images == sorted(s.blocks for s in orthogonal_mates(b1))
 
 
-def test_map_orientation(qr):
-    lam2 = affine_perm(7, 2, 0)
-    tau1 = affine_perm(7, 1, 1)
-    assert map_orientation(lam2, qr).arcs == qr.arcs
-    assert map_orientation(tau1, qr).arcs == qr.arcs
-    assert map_orientation(identity(7), qr).arcs == qr.arcs
-
-
-def test_map_orientation_requires_automorphism(qr):
-    with pytest.raises(Exception):
-        map_orientation(affine_perm(7, 3, 0), qr)
-
-
 def test_map_orientation_equivariance(b1):
+    # relabelling the arcs along a plane automorphism gives an orientation,
+    # and derived_plane commutes with the relabelling
     for o in all_orientations(b1):
         for sigma in isomorphisms(b1, b1):
-            image = map_orientation(sigma, o)
-            assert validate_orientation(b1, image.arcs) == image  # built unchecked
+            image = OrientedFano(b1, frozenset((sigma(x), sigma(y)) for x, y in o.arcs))
+            assert validate_orientation(b1, image.arcs) == image
             assert derived_plane(image) == map_sts(sigma, derived_plane(o))
 
 

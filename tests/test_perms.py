@@ -19,7 +19,6 @@ from fano21.perms import (
     group_from_chain,
     group_from_elements,
     identity,
-    perm_from_cycles,
     stabilizer,
 )
 
@@ -39,7 +38,7 @@ def test_compose_applies_right_first():
 
 
 def test_compose_identity():
-    p = perm_from_cycles("(1 5 4 6 2 3)", 7)
+    p = Perm((0, 5, 3, 1, 6, 4, 2))  # (1 5 4 6 2 3)
     assert compose(p, identity(7)) == p
     assert compose(identity(7), p) == p
 
@@ -50,22 +49,22 @@ def test_compose_degree_mismatch():
 
 
 def test_inverse_and_order():
-    p = perm_from_cycles("(0 1 2)(3 4)", 7)
+    p = Perm((1, 2, 0, 4, 3, 5, 6))  # (0 1 2)(3 4)
     assert compose(p, p.inverse()) == identity(7)
     assert p.order() == 6
 
 
 def test_cycle_string_round_trip():
-    for s in ["(1 5 4 6 2 3)", "(2 4)(3 5)", "()"]:
-        p = perm_from_cycles(s, 7)
-        assert perm_from_cycles(p.cycle_string(), 7) == p
-
-
-def test_cycle_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        perm_from_cycles("(1 1)", 7)
-    with pytest.raises(ValueError):
-        perm_from_cycles("1 2 3", 7)
+    # the string lists the cycles, and the cycles rebuild the permutation
+    for images, text in [((0, 5, 3, 1, 6, 4, 2), "(1 5 4 6 2 3)"),
+                         ((0, 1, 4, 5, 2, 3, 6), "(2 4)(3 5)"), (tuple(range(7)), "()")]:
+        p = Perm(images)
+        assert p.cycle_string() == text
+        rebuilt = list(range(7))
+        for cycle in p.cycles():
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                rebuilt[a] = b
+        assert tuple(rebuilt) == images
 
 
 def test_generate_group_lambda_tau_is_f21():
@@ -153,7 +152,7 @@ def test_group_from_elements_rejects_inverse_closed_non_groups():
     involution = next(p for p in aut if p.order() == 2)
     for elements in (
         [p for p in aut if p != involution],
-        [identity(7), perm_from_cycles("(0 1)", 7), perm_from_cycles("(1 2)", 7)],
+        [identity(7), Perm((1, 0, 2, 3, 4, 5, 6)), Perm((0, 2, 1, 3, 4, 5, 6))],
     ):
         with pytest.raises(ValueError, match="not closed under composition"):
             group_from_elements(7, elements)
@@ -184,8 +183,7 @@ def test_group_from_elements_proof_is_linear_in_the_group(monkeypatch):
 
 
 def test_group_from_elements_matches_generated_groups():
-    for gens in ([LAMBDA2, TAU1], [TAU1], [], [perm_from_cycles("(0 1)", 7),
-                                             perm_from_cycles("(0 1 2 3 4 5 6)", 7)]):
+    for gens in ([LAMBDA2, TAU1], [TAU1], [], [Perm((1, 0, 2, 3, 4, 5, 6)), TAU1]):
         g = generate_group(7, gens)
         assert group_from_elements(7, reversed(g.elements)).elements == g.elements
 
@@ -272,8 +270,7 @@ def test_stabilizer_reads_tuples_in_order(b1, qr):
 
 
 def test_stabilizer_of_nested_classes(sts61, ag23):
-    res = kirkman.resolution_61()
-    classes = frozenset(frozenset(map(frozenset, cls)) for cls in res.classes)
+    classes = frozenset(frozenset(map(frozenset, cls)) for cls in kirkman.parallel_classes(sts61))
     assert stabilizer(steiner.automorphism_group(sts61), classes).order == 21
     # Aut(AG(2,3)) permutes its 4 parallel classes as S4; only the
     # translations and x -> -x fix each class

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,18 +27,19 @@ def test_no_unused_imports():
     assert {path: names for path, names in found.items() if names} == {}
 
 
+def read_names(tree: ast.AST) -> set[str]:
+    """The names a module reads: variables, attributes and imports."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    return names
+
+
 def library_readers(name: str) -> list[str]:
     """The library modules that name ``name``, as a variable, an attribute
     or an import."""
-    readers = []
-    for path in sorted((ROOT / "src" / "fano21").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
-        if name in names:
-            readers.append(path.name)
-    return readers
+    return [path.name for path in sorted((ROOT / "src" / "fano21").glob("*.py"))
+            if name in read_names(ast.parse(path.read_text()))]
 
 
 def test_only_perms_reads_the_closure_oracle():
@@ -49,8 +51,37 @@ def test_only_perms_reads_the_closure_oracle():
 def test_only_perms_and_kirkman_read_the_stabilizer():
     # the common, oriented and algebra groups are pruned kernel searches and
     # the colour group a one-class test; the filter stays for the KTS group
-    # and the #61 oracle
     assert set(library_readers("stabilizer")) <= {"perms.py", "kirkman.py"}
+
+
+# Library definitions that only tests read, kept as oracles and helpers.
+TEST_ONLY = {
+    "generate_group": "the closure of generators, the oracle for the groups the library builds",
+    "map_sts": "relabels a system, for the isomorphism and relabelling tests",
+    "rotation_from_cycles": "builds a rotation from literal cycles, for the embedding tests",
+}
+
+
+def test_every_definition_has_a_reader():
+    # each top-level function or class is read by a library module (the
+    # re-exports of __init__ do not count), by the benchmark, which names
+    # its trace targets in strings, or is a listed test oracle
+    modules = {path.name: ast.parse(path.read_text())
+               for path in sorted((ROOT / "src" / "fano21").glob("*.py"))}
+    library = set().union(*(read_names(tree) for name, tree in modules.items()
+                            if name != "__init__.py"))
+    benchmark = set()
+    for path in sorted((ROOT / "benchmarks").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        benchmark |= read_names(tree)
+        benchmark.update(word for n in ast.walk(tree)
+                         if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                         for word in re.findall(r"\w+", n.value))
+    unread = [f"{name}:{node.name}" for name, tree in modules.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in library | benchmark | TEST_ONLY.keys()]
+    assert unread == []
+    assert not TEST_ONLY.keys() & (library | benchmark)  # a listed name that gained a reader
 
 
 def test_only_steiner_reads_the_isomorphism_kernel():
