@@ -69,12 +69,6 @@ class RotationSystem:
             y = self.succ[x][y]
         return tuple(cyc)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "rotation": {str(x): list(self.cycle_at(x)) for x in range(self.n)},
-        }
-
 
 def validate_rotation(n: int, rotation: Mapping[int, Sequence]) -> RotationSystem:
     """Build a RotationSystem from per-vertex cycles (read left-to-right).
@@ -101,11 +95,11 @@ def validate_rotation(n: int, rotation: Mapping[int, Sequence]) -> RotationSyste
         for y in flat:
             if type(y) is not int:
                 raise RotationError(f"neighbor {y!r} at vertex {x} is not an integer")
-        neighbors = set(range(n)) - {x}
+        present, neighbors = set(flat), set(range(n)) - {x}
         for y in neighbors:
-            if y not in flat:
+            if y not in present:
                 raise MissingNeighbor(x, y)
-        if len(cycles) != 1 or len(flat) != n - 1 or set(flat) != neighbors:
+        if len(cycles) != 1 or len(flat) != n - 1 or present != neighbors:
             raise NotSingleCycle(x)
         cyc = cycles[0]
         nxt = [-1] * n
@@ -179,30 +173,28 @@ class Face:
         return [(w[i], w[(i + 1) % len(w)]) for i in range(len(w))]
 
 
-def _canonical_face(walk: list[int]) -> Face:
-    k = len(walk)
-    rotations = [tuple(walk[i:] + walk[:i]) for i in range(k)]
-    return Face(min(rotations))
-
-
 def trace_faces(rotation: RotationSystem) -> list[Face]:
-    """Orbits of the successor map (a, b) -> (b, rho_b(a)); every oriented
-    edge lies in exactly one face."""
-    n = rotation.n
-    remaining = {(x, y) for x in range(n) for y in range(n) if x != y}
+    """Orbits of the successor map (a, b) -> (b, rho_b(a)), sorted; every
+    oriented edge lies in exactly one face.  The darts are taken once, in
+    order, and each face is traced from the first of its darts reached, its
+    least.  A face holds each dart once, so the walk from its least dart is
+    its least rotation, and the faces come out sorted."""
+    succ = rotation.succ
+    seen: set[tuple[int, int]] = set()
     faces = []
-    while remaining:
-        start = min(remaining)
+    for start in permutations(range(rotation.n), 2):
+        if start in seen:
+            continue
         walk = []
-        edge = start
+        x, y = start
         while True:
-            walk.append(edge[0])
-            remaining.discard(edge)
-            edge = (edge[1], rotation.rho(edge[1], edge[0]))
-            if edge == start:
+            walk.append(x)
+            seen.add((x, y))
+            x, y = y, succ[y][x]
+            if (x, y) == start:
                 break
-        faces.append(_canonical_face(walk))
-    return sorted(faces, key=lambda f: f.walk)
+        faces.append(Face(tuple(walk)))
+    return faces
 
 
 def euler_characteristic(rotation: RotationSystem) -> int:
@@ -283,16 +275,14 @@ def embedding_isomorphisms(r1: RotationSystem, r2: RotationSystem) -> list[tuple
     return list(_isomorphisms_in_order(r1, r2))
 
 
-def _isomorphisms_in_order(r1: RotationSystem, r2: RotationSystem) -> Iterator[tuple[Perm, str]]:
-    """The maps of :func:`embedding_isomorphisms` in lexicographic order,
-    each candidate checked only when reached.
+def _candidate_maps(r1: RotationSystem, r2: RotationSystem) -> Iterator[Perm]:
+    """The vertex maps that can carry r1 onto r2, in lexicographic order.
 
     A map is fixed by its flag and the image (a, b) of the dart (0, 1):
     it carries the rotation at 0 in r1 onto the rotation at a in r2,
     walked from b forward (Preserving) or backward (Reversing).  So there
     are 2n(n-1) candidates, taken in the order of their image tuples, which
-    start with a.  On K2 and K3 both walks give the same map, checked once
-    and reported as Preserving.
+    start with a.  On K2 and K3 both walks give the same map, listed once.
     """
     if r1.n != r2.n:
         raise RotationError(f"vertex counts differ: {r1.n} vs {r2.n}")
@@ -304,17 +294,17 @@ def _isomorphisms_in_order(r1: RotationSystem, r2: RotationSystem) -> Iterator[t
         walks += [w[:1] + w[:0:-1] for w in walks]
         for images in sorted({(a, *(w[k] for k in where)) for w in walks}):
             # a bijection: 0 -> a, and the n - 1 neighbours of 0 onto those of a
-            sigma = _unchecked(images)
-            flag = isomorphism_flag(sigma, r1, r2)
-            if flag:
-                yield sigma, flag
+            yield _unchecked(images)
 
 
-def embedding_automorphism_group(rotation: RotationSystem) -> PermGroup:
-    """The Preserving and Reversing self-maps, a group with no closure check:
-    the product of two maps with one flag preserves, with two flags reverses."""
-    maps = [sigma for sigma, _flag in embedding_isomorphisms(rotation, rotation)]
-    return PermGroup(rotation.n, tuple(maps))
+def _isomorphisms_in_order(r1: RotationSystem, r2: RotationSystem) -> Iterator[tuple[Perm, str]]:
+    """The maps of :func:`embedding_isomorphisms` in lexicographic order,
+    each candidate checked only when reached; on K2 and K3, where a map both
+    preserves and reverses, it is reported as Preserving."""
+    for sigma in _candidate_maps(r1, r2):
+        flag = isomorphism_flag(sigma, r1, r2)
+        if flag:
+            yield sigma, flag
 
 
 def color_automorphism_group(rotation: RotationSystem) -> PermGroup:
@@ -322,10 +312,13 @@ def color_automorphism_group(rotation: RotationSystem) -> PermGroup:
     set of its faces' vertex sets; a stabilizer, so no closure check.  One
     class decides: an automorphism carries faces to faces and adjacent ones
     to adjacent ones, so it maps the 2-coloring of the connected face graph
-    to a proper one, which keeps both classes or swaps them."""
+    to a proper one, which keeps both classes or swaps them.  Each candidate
+    map is tested on class A first, and only a map that keeps it is checked
+    as an automorphism."""
     class_a = {frozenset(f.walk) for f in two_coloring(rotation).class_a}
-    keep = [p for p in embedding_automorphism_group(rotation)
-            if all(frozenset(map(p.images.__getitem__, f)) in class_a for f in class_a)]
+    keep = [p for p in _candidate_maps(rotation, rotation)
+            if all(frozenset(map(p.images.__getitem__, f)) in class_a for f in class_a)
+            and isomorphism_flag(p, rotation, rotation)]
     return PermGroup(rotation.n, tuple(keep))
 
 
@@ -343,7 +336,7 @@ def triangular_completions(rho0: Sequence[int]) -> list[RotationSystem]:
     cyc = list(rho0)
     if any(type(y) is not int for y in cyc) or sorted(cyc) != [1, 2, 3, 4, 5, 6]:
         raise RotationError(f"rho_0 must be a 6-cycle on 1..6, got {rho0}")
-    fixed = [_canonical_face([y, 0, z]) for y, z in zip(cyc, cyc[1:] + cyc[:1])]
+    fixed = [Face((0, z, y)) for y, z in zip(cyc, cyc[1:] + cyc[:1])]
     taken = {d for f in fixed for d in f.edges()}
     free = [d for d in permutations(range(7), 2) if d not in taken]
     triangles = [

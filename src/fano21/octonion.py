@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable
 
 from .orient import OrientedFano, qr_orientation
 from .perms import Perm
@@ -81,32 +81,6 @@ class Octonion:
         if len(self.coeffs) != 8 or not all(type(c) is int for c in self.coeffs):
             raise ValueError(f"need 8 integer coefficients, got {self.coeffs}")
 
-    def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Octonion") -> "Octonion":
-        return Octonion(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Octonion":
-        return Octonion(tuple(-a for a in self.coeffs))
-
-
-def octonion(coeffs: Sequence[int]) -> Octonion:
-    return Octonion(tuple(coeffs))
-
-
-ZERO = Octonion((0,) * 8)
-ONE = Octonion((1, 0, 0, 0, 0, 0, 0, 0))
-
-
-def unit(i: int) -> Octonion:
-    """The basis octonion e_i (index 0 gives the real unit)."""
-    if type(i) is not int or not 0 <= i <= 7:
-        raise ValueError(f"basis index {i!r} is not an integer in 0..7")
-    c = [0] * 8
-    c[i] = 1
-    return Octonion(tuple(c))
-
 
 def multiply(a: Octonion, b: Octonion, table: Table | None = None) -> Octonion:
     """Bilinear extension of the basis table; 1 is a two-sided identity."""
@@ -164,7 +138,7 @@ def norm(a: Octonion) -> int:
     return sum(c * c for c in a.coeffs)
 
 
-def is_algebra_automorphism(sigma: Perm, table: Table | None = None) -> bool:
+def is_algebra_automorphism(sigma: Perm, table: Table) -> bool:
     """Does e_i -> e_{sigma(i)} (fixing 1) preserve all 49 basis
     products with signs?
 
@@ -174,9 +148,6 @@ def is_algebra_automorphism(sigma: Perm, table: Table | None = None) -> bool:
     """
     if sigma.degree != 7:
         raise ValueError(f"expected a permutation of 7 symbols, got degree {sigma.degree}")
-    if table is None:
-        table = cartan_table()
-
     # image[i] is the unit index of e_i's image, unit 7 being point 0; 1 is fixed
     image = (0, *(sigma.images[i % 7] or 7 for i in range(1, 8)))
     for i in range(1, 8):
@@ -188,15 +159,13 @@ def is_algebra_automorphism(sigma: Perm, table: Table | None = None) -> bool:
     return True
 
 
-def algebra_automorphism_perms(table: Table | None = None) -> list[Perm]:
+def algebra_automorphism_perms(table: Table) -> list[Perm]:
     """All basis permutations (as degree-7 point permutations) that are
     algebra automorphisms, sorted.  The table's Fano plane has the lines
     {e_i, e_j, e_k} with e_i e_j = +-e_k, and an automorphism permuting the
     basis carries lines to lines and keeps every sign, so the candidates are
     the collineations that carry the pairs (x, y) with e_x e_y = +e_k onto
     themselves, one kernel search; :func:`is_algebra_automorphism` decides."""
-    if table is None:
-        table = cartan_table()
     units = range(1, 8)
     pairs = [(i % 7, j % 7, table[i - 1][j - 1]) for i in units for j in units if i != j]
     plane = validate_sts(7, {tuple(sorted((x, y, unit_to_point(k)))) for x, y, (_, k) in pairs})
@@ -205,26 +174,20 @@ def algebra_automorphism_perms(table: Table | None = None) -> list[Perm]:
     return [p for p in candidates if is_algebra_automorphism(p, table)]
 
 
-def random_octonions(count: int, lo: int = -9, hi: int = 9, seed: int = 21) -> list[Octonion]:
-    """Seeded integer samples for exact property checks."""
+def random_octonions(count: int, seed: int = 21) -> list[Octonion]:
+    """Seeded samples with coefficients in -9..9, for exact property checks."""
     rng = Random(seed)
-    return [
-        Octonion(tuple(rng.randint(lo, hi) for _ in range(8))) for _ in range(count)
-    ]
+    return [Octonion(tuple(rng.randint(-9, 9) for _ in range(8))) for _ in range(count)]
 
 
-def table_to_json(table: Table | None = None) -> dict:
+def table_to_json(table: Table) -> dict:
     """7x7 signed-index matrix: entry for e_i e_j is sign * index, with
     index 0 meaning the real unit (so -1 encodes the product -1)."""
-    if table is None:
-        table = cartan_table()
     return {"matrix": [[sign * k if k else -1 for (sign, k) in row] for row in table]}
 
 
-def table_to_text(table: Table | None = None) -> str:
+def table_to_text(table: Table) -> str:
     """Aligned text rendering of the multiplication table."""
-    if table is None:
-        table = cartan_table()
 
     def cell(sign: int, k: int) -> str:
         if k == 0:

@@ -1,8 +1,10 @@
 """Permutations of {0..n-1} and exhaustively stored finite permutation groups.
 
-Composition convention: ``compose(p, q)`` applies ``q`` first, so
-``compose(p, q)(x) == p(q(x))``.  Groups are stored as full element lists,
-sorted lexicographically by image tuple so that every enumeration is
+A :class:`Perm` is applied by calling it and multiplied only through
+:func:`compose`, which applies its second argument first:
+``compose(p, q)(x) == p(q(x))``.  It has no product operator, inverse or
+order; the library needs none of them.  Groups are stored as full element
+lists, sorted lexicographically by image tuple so that every enumeration is
 deterministic.  Groups come from generators, a base and transversals
 (:func:`group_from_chain`) or a :func:`stabilizer` in a group, with no
 closure check; :func:`group_from_elements`, which proves one, is an oracle.
@@ -11,7 +13,6 @@ closure check; :func:`group_from_elements`, which proves one, is an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -42,23 +43,6 @@ class Perm:
 
     def __call__(self, x: int) -> int:
         return self.images[x]
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        return compose(self, other)
-
-    def inverse(self) -> "Perm":
-        inv = [0] * self.degree
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return _unchecked(tuple(inv))
-
-    def order(self) -> int:
-        k, p = 1, self
-        ident = identity(self.degree)
-        while p != ident:
-            p = compose(p, self)
-            k += 1
-        return k
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition, fixed points omitted, each cycle starting
@@ -93,14 +77,10 @@ _set_field = object.__setattr__
 
 def _unchecked(images: tuple[int, ...]) -> Perm:
     """A Perm built without the bijection check, for images proved a
-    bijection: a product or inverse of valid Perms, or an isomorphism kernel's map."""
+    bijection: a product of valid Perms, or an isomorphism kernel's map."""
     p = _new_object(Perm)
     _set_field(p, "images", images)
     return p
-
-
-def identity(n: int) -> Perm:
-    return Perm(tuple(range(n)))
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -138,20 +118,12 @@ class PermGroup:
             self, "elements", tuple(by_images[k] for k in sorted(by_images))
         )
 
-    @cached_property
-    def element_set(self) -> frozenset[Perm]:
-        """The elements as a frozenset.  Built on first use, kept per group."""
-        return frozenset(self.elements)
-
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def __iter__(self) -> Iterator[Perm]:
         return iter(self.elements)
-
-    def __contains__(self, p: Perm) -> bool:
-        return p in self.element_set
 
     def __len__(self) -> int:
         return len(self.elements)

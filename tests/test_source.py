@@ -1,6 +1,11 @@
 import ast
+import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,20 +59,98 @@ def test_only_perms_and_kirkman_read_the_stabilizer():
     assert set(library_readers("stabilizer")) <= {"perms.py", "kirkman.py"}
 
 
-# Library definitions that only tests read, kept as oracles and helpers.
-TEST_ONLY = {
-    "generate_group": "the closure of generators, the oracle for the groups the library builds",
-    "map_sts": "relabels a system, for the isomorphism and relabelling tests",
-    "rotation_from_cycles": "builds a rotation from literal cycles, for the embedding tests",
+# Every command on every builtin (the CLI golden runs) and some operations of
+# each in-process benchmark workload, in a fresh process, so that no cache
+# is warm, under cProfile: prints the (file name, first line) of each
+# library function that ran.
+CENSUS = """
+import cProfile, sys, tempfile, types
+from pathlib import Path
+
+profiler = cProfile.Profile()
+profiler.enable()
+import fano21.cli, workloads
+from test_cli import golden_runs
+
+with tempfile.TemporaryDirectory() as directory:
+    golden_runs(directory)
+    for workload, count in (workloads.StsAut, 3), (workloads.FanoMaps, 24):
+        runner = workload(1, Path(directory), fano21)
+        for op in map(runner.prepare, range(count)):
+            if op.probe:
+                runner.run_probe(op)
+            else:
+                runner.check(op, runner.execute(op))
+profiler.disable()
+library = Path(fano21.__file__).parent
+print(sorted({(Path(code.co_filename).name, code.co_firstlineno)
+              for code in (entry.code for entry in profiler.getstats())
+              if isinstance(code, types.CodeType) and Path(code.co_filename).parent == library}))
+"""
+
+# Library definitions that no command and no benchmark operation runs, each
+# kept for the reason given.  The __init__ of a typed error, which runs only
+# on bad input, needs no entry.
+NOT_RUN = {
+    "perms.generate_group": "the closure of generators, the oracle for the groups the library builds",
+    "perms.group_from_elements": "proves a set closed under composition, the oracle for a group "
+                                 "the library lists; the benchmark traces it",
+    "perms._closure": "the closure that generate_group and group_from_elements run",
+    "steiner.map_sts": "relabels a system, for the isomorphism and relabelling tests",
+    "steiner.TripleSystem.block_through": "the benchmark traces it by name",
+    "embed.embedding_isomorphisms": "lists every map with its flag, the oracle base group of the "
+                                    "colour group; the benchmark traces it by name",
+    "embed.rotation_from_cycles": "builds a rotation from literal cycles, for the embedding tests",
+    "embed.RotationSystem.rho_inv": "the benchmark's check of a Reversing classification reads "
+                                    "it; the benchmark's relabellings are all Preserving",
+    "octonion._as_tuples": "reads a multiplication table given as lists, an input of library "
+                           "callers that no command builds",
 }
 
 
+def definitions(tree: ast.AST, prefix: str = "") -> Iterator[tuple[str, ast.FunctionDef]]:
+    """(qualified name, node) of every function, method and nested function."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield prefix + node.name, node
+            yield from definitions(node, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.ClassDef):
+            yield from definitions(node, f"{prefix}{node.name}.")
+        else:
+            yield from definitions(node, prefix)
+
+
+def is_typed_error_init(module: str, qualname: str) -> bool:
+    owner, _, name = qualname.rpartition(".")
+    cls = getattr(importlib.import_module(f"fano21.{module}"), owner, None)
+    return name == "__init__" and isinstance(cls, type) and issubclass(cls, Exception)
+
+
 def test_every_definition_has_a_reader():
-    # each top-level function or class is read by a library module (the
-    # re-exports of __init__ do not count), by the benchmark, which names
-    # its trace targets in strings, or is a listed test oracle
+    # every function and method, operators included, runs in the census or
+    # is listed; each top-level class is read by a library module (the
+    # re-exports of __init__ do not count) or by the benchmark, which names
+    # its trace targets in strings
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        str(ROOT / part) for part in ("src", "tests", "benchmarks")))
+    out = subprocess.run([sys.executable, "-c", CENSUS], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    ran = set(ast.literal_eval(out.splitlines()[-1]))
     modules = {path.name: ast.parse(path.read_text())
                for path in sorted((ROOT / "src" / "fano21").glob("*.py"))}
+    unrun, listed_but_run = [], []
+    for file, tree in modules.items():
+        module = file.removesuffix(".py")
+        for qualname, node in definitions(tree):
+            name = f"{module}.{qualname}"
+            lines = {node.lineno, *(d.lineno for d in node.decorator_list)}
+            if any((file, line) in ran for line in lines):
+                listed_but_run += [name] if name in NOT_RUN else []
+            elif name not in NOT_RUN and not is_typed_error_init(module, qualname):
+                unrun.append(name)
+    assert not unrun, f"run by no command or benchmark operation: {unrun}"
+    assert not listed_but_run, f"listed in NOT_RUN but run: {listed_but_run}"
+
     library = set().union(*(read_names(tree) for name, tree in modules.items()
                             if name != "__init__.py"))
     benchmark = set()
@@ -78,10 +161,8 @@ def test_every_definition_has_a_reader():
                          if isinstance(n, ast.Constant) and isinstance(n.value, str)
                          for word in re.findall(r"\w+", n.value))
     unread = [f"{name}:{node.name}" for name, tree in modules.items() for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and node.name not in library | benchmark | TEST_ONLY.keys()]
+              if isinstance(node, ast.ClassDef) and node.name not in library | benchmark]
     assert unread == []
-    assert not TEST_ONLY.keys() & (library | benchmark)  # a listed name that gained a reader
 
 
 def test_only_steiner_reads_the_isomorphism_kernel():
