@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -69,6 +70,24 @@ class RotationSystem:
             y = self.succ[x][y]
         return tuple(cyc)
 
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        """Orbits of the successor map (a, b) -> (b, rho_b(a)), sorted, traced
+        on first use and kept per rotation.  The darts are taken in order, and
+        a face is traced from the first of its darts reached, its least, until
+        the walk returns there.  A face holds each dart once, so that walk is
+        its least rotation, and the faces come out sorted."""
+        succ, seen, faces = self.succ, set(), []
+        for x, y in permutations(range(self.n), 2):
+            walk = []
+            while (x, y) not in seen:
+                seen.add((x, y))
+                walk.append(x)
+                x, y = y, succ[y][x]
+            if walk:
+                faces.append(Face(tuple(walk)))
+        return tuple(faces)
+
 
 def validate_rotation(n: int, rotation: Mapping[int, Sequence]) -> RotationSystem:
     """Build a RotationSystem from per-vertex cycles (read left-to-right).
@@ -90,8 +109,12 @@ def validate_rotation(n: int, rotation: Mapping[int, Sequence]) -> RotationSyste
     succ: list[tuple[int, ...]] = []
     for x in range(n):
         value = rotation[x]
-        cycles = value if value and isinstance(value[0], (list, tuple)) else [value]
-        flat = [y for c in cycles for y in c]
+        try:
+            cycles = value if value and isinstance(value[0], (list, tuple)) else [value]
+            flat = [y for c in cycles for y in c]
+        except (TypeError, LookupError):
+            raise RotationError(f"rotation at vertex {x} must be a list of neighbors "
+                                f"or of cycles, got {value!r}") from None
         for y in flat:
             if type(y) is not int:
                 raise RotationError(f"neighbor {y!r} at vertex {x} is not an integer")
@@ -174,33 +197,14 @@ class Face:
 
 
 def trace_faces(rotation: RotationSystem) -> list[Face]:
-    """Orbits of the successor map (a, b) -> (b, rho_b(a)), sorted; every
-    oriented edge lies in exactly one face.  The darts are taken once, in
-    order, and each face is traced from the first of its darts reached, its
-    least.  A face holds each dart once, so the walk from its least dart is
-    its least rotation, and the faces come out sorted."""
-    succ = rotation.succ
-    seen: set[tuple[int, int]] = set()
-    faces = []
-    for start in permutations(range(rotation.n), 2):
-        if start in seen:
-            continue
-        walk = []
-        x, y = start
-        while True:
-            walk.append(x)
-            seen.add((x, y))
-            x, y = y, succ[y][x]
-            if (x, y) == start:
-                break
-        faces.append(Face(tuple(walk)))
-    return faces
+    """The faces of :attr:`RotationSystem.faces`, sorted, as a new list."""
+    return list(rotation.faces)
 
 
 def euler_characteristic(rotation: RotationSystem) -> int:
     """F + V - E for the traced faces (0 for the torus)."""
     n = rotation.n
-    return len(trace_faces(rotation)) + n - n * (n - 1) // 2
+    return len(rotation.faces) + n - n * (n - 1) // 2
 
 
 def is_triangular(rotation: RotationSystem) -> bool:
@@ -232,7 +236,7 @@ def two_coloring(rotation: RotationSystem) -> ColoredFaceSet:
     vertex set is class A.  One search reaches all faces: those at a vertex
     are joined through its rotation, those at the ends of an edge across it.
     """
-    faces = trace_faces(rotation)
+    faces = rotation.faces
     face_of = {dart: i for i, f in enumerate(faces) for dart in f.edges()}
     color = {0: 0}
     queue = [0]
@@ -271,8 +275,9 @@ def isomorphism_flag(sigma: Perm, r1: RotationSystem, r2: RotationSystem) -> str
 
 
 def embedding_isomorphisms(r1: RotationSystem, r2: RotationSystem) -> list[tuple[Perm, str]]:
-    """All vertex maps carrying r1 onto r2 with their flags, sorted."""
-    return list(_isomorphisms_in_order(r1, r2))
+    """All vertex maps carrying r1 onto r2 with their flags, sorted; on K2 and
+    K3, where a map both preserves and reverses, it is reported as Preserving."""
+    return [(p, flag) for p in _candidate_maps(r1, r2) if (flag := isomorphism_flag(p, r1, r2))]
 
 
 def _candidate_maps(r1: RotationSystem, r2: RotationSystem) -> Iterator[Perm]:
@@ -295,16 +300,6 @@ def _candidate_maps(r1: RotationSystem, r2: RotationSystem) -> Iterator[Perm]:
         for images in sorted({(a, *(w[k] for k in where)) for w in walks}):
             # a bijection: 0 -> a, and the n - 1 neighbours of 0 onto those of a
             yield _unchecked(images)
-
-
-def _isomorphisms_in_order(r1: RotationSystem, r2: RotationSystem) -> Iterator[tuple[Perm, str]]:
-    """The maps of :func:`embedding_isomorphisms` in lexicographic order,
-    each candidate checked only when reached; on K2 and K3, where a map both
-    preserves and reverses, it is reported as Preserving."""
-    for sigma in _candidate_maps(r1, r2):
-        flag = isomorphism_flag(sigma, r1, r2)
-        if flag:
-            yield sigma, flag
 
 
 def color_automorphism_group(rotation: RotationSystem) -> PermGroup:
@@ -356,18 +351,21 @@ def triangular_completions(rho0: Sequence[int]) -> list[RotationSystem]:
 
 def classify_triangular(rotation: RotationSystem) -> tuple[Perm, str]:
     """The lexicographically smallest isomorphism onto the classical
-    toroidal rotation, with its flag: the search stops at the first map."""
+    toroidal rotation, with its flag: the candidates are checked in order,
+    each only when reached, and the search stops at the first map."""
     if rotation.n != 7:
         raise RotationError(f"classification is defined for K7, got K{rotation.n}")
     if not is_triangular(rotation):
         raise NotTriangular()
-    return next(_isomorphisms_in_order(rotation, classical_rotation()))
+    classical = classical_rotation()
+    return next((p, flag) for p in _candidate_maps(rotation, classical)
+                if (flag := isomorphism_flag(p, rotation, classical)))
 
 
 def to_dot(rotation: RotationSystem) -> str:
     """DOT export of K_n with the traced faces as comments."""
     lines = ["graph K%d {" % rotation.n]
-    for f in trace_faces(rotation):
+    for f in rotation.faces:
         lines.append("  // face " + "-".join(str(v) for v in f.walk))
     for x in range(rotation.n):
         for y in range(x + 1, rotation.n):

@@ -170,7 +170,7 @@ def algebra_automorphism_perms(table: Table) -> list[Perm]:
     pairs = [(i % 7, j % 7, table[i - 1][j - 1]) for i in units for j in units if i != j]
     plane = validate_sts(7, {tuple(sorted((x, y, unit_to_point(k)))) for x, y, (_, k) in pairs})
     plus = {(x, y) for x, y, (sign, _) in pairs if sign == 1}
-    candidates = isomorphisms(plane, plane, arcs=(plus, plus))
+    candidates = isomorphisms(plane, plane, arcs=plus)
     return [p for p in candidates if is_algebra_automorphism(p, table)]
 
 

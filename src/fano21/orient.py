@@ -91,6 +91,10 @@ def validate_orientation(plane: TripleSystem, arcs: Iterable[Arc]) -> OrientedFa
     tournament, block-cyclicity and out-closure axioms."""
     if plane.v != 7:
         raise StsError(f"orientations are defined for v=7, got v={plane.v}")
+    try:
+        arcs = list(arcs)
+    except TypeError:
+        raise OrientationError(f"arcs {arcs!r} are not a collection of pairs") from None
     arc_list = []
     for arc in arcs:
         try:
@@ -180,7 +184,7 @@ def oriented_automorphism_group(oriented: OrientedFano) -> PermGroup:
     """Plane automorphisms that stabilize the arcs, as ordered pairs: one
     kernel search, with no closure check, as a stabilizer is a subgroup."""
     plane, arcs = oriented.plane, oriented.arcs
-    return PermGroup(plane.v, tuple(isomorphisms(plane, plane, arcs=(arcs, arcs))))
+    return PermGroup(plane.v, tuple(isomorphisms(plane, plane, arcs=arcs)))
 
 
 def reverse(oriented: OrientedFano) -> OrientedFano:
@@ -211,7 +215,10 @@ def validate_circuit(plane: TripleSystem, seq: Sequence[int]) -> FanoCircuit:
     property: one consecutive pair per block."""
     if plane.v != 7:
         raise StsError(f"Fano circuits are defined for v=7, got v={plane.v}")
-    seq = tuple(seq)
+    try:
+        seq = tuple(seq)
+    except TypeError:
+        raise CircuitError(f"circuit {seq!r} is not a sequence of points") from None
     for x in seq:
         if type(x) is not int or not 0 <= x <= 6:
             raise CircuitError(f"point {x!r} is not an integer in 0..6")

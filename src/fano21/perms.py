@@ -129,11 +129,7 @@ class PermGroup:
         return len(self.elements)
 
     def is_abelian(self) -> bool:
-        elems = self.elements
-        for p, q in combinations(elems, 2):
-            if compose(p, q) != compose(q, p):
-                return False
-        return True
+        return all(compose(p, q) == compose(q, p) for p, q in combinations(self.elements, 2))
 
 
 def _closure(degree: int, candidates: Iterable[Perm]) -> Iterator[tuple[int, ...]]:

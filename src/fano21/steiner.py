@@ -100,7 +100,10 @@ def validate_sts(v: int, blocks: Sequence[Iterable[int]]) -> TripleSystem:
         raise StsError(f"v={v!r} is not an integer")
     if v < 1 or v % 6 not in (1, 3):
         raise StsError(f"no STS({v}) exists: v must be >= 1 and 1 or 3 (mod 6)")
-    blocks = [tuple(b) for b in blocks]
+    try:
+        blocks = [tuple(b) for b in blocks]
+    except TypeError:
+        raise StsError(f"blocks {blocks!r} are not a list of point triples") from None
     for x in (x for b in blocks for x in b):
         if type(x) is not int:
             raise StsError(f"point {x!r} is not an integer")
@@ -235,25 +238,21 @@ def closure(
             i += 1
 
 
-def isomorphisms(s1: TripleSystem, s2: TripleSystem, arcs: tuple | None = None,
-                 mate: tuple[TripleSystem, TripleSystem] | None = None) -> list[Perm]:
+def isomorphisms(s1: TripleSystem, s2: TripleSystem, arcs: frozenset | set | None = None,
+                 mate: TripleSystem | None = None) -> list[Perm]:
     """All block-preserving bijections s1 -> s2, sorted by image tuple; with
-    ``arcs = (a1, a2)``, sets of ordered pairs, those carrying a1 onto a2, and
-    with ``mate = (m1, m2)``, systems on the same points, those carrying the
-    blocks of m1 onto blocks of m2.
-
-    Runs the search kernel compiled for s1 (and m1), a straight-line function
-    built on first use and kept for the last 64 keys (see
-    :func:`_isomorphism_kernel`), on the third-point table of s2 (and m2).
-    Its checks prove each image tuple a bijection, so Perm's own check is skipped.
-    """
+    ``arcs``, a set of ordered pairs, those carrying arcs onto arcs, and with
+    ``mate``, a system on the same points, those carrying its blocks onto its
+    blocks.  Runs the search kernel compiled for s1 and mate (see
+    :func:`_isomorphism_kernel`), whose checks prove each image tuple a
+    bijection, so Perm's own check is skipped."""
     v, tables = s1.v, [s2.third_table]
-    for s in (s2, *(mate or ())):
+    for s in (s2, mate) if mate else (s2,):
         if s.v != v:
             raise PointSetMismatch(v, s.v)
-    tables += [tuple(tuple((x, y) in a for y in range(v)) for x in range(v)) for a in arcs or ()]
-    tables += [m.third_table for m in (mate or ())[1:]]
-    kernel = _isomorphism_kernel(s1, False, bool(arcs), mate and mate[0])
+    if arcs:
+        tables.append(tuple(tuple((x, y) in arcs for y in range(v)) for x in range(v)))
+    kernel = _isomorphism_kernel(s1, bool(arcs), mate)
     return list(map(_unchecked, sorted(kernel(*tables))))
 
 
@@ -261,19 +260,20 @@ def is_isomorphic(s1: TripleSystem, s2: TripleSystem) -> Perm | None:
     """The kernel's first isomorphism s1 -> s2, or None: its search is exhaustive."""
     if s1.v != s2.v:
         raise PointSetMismatch(s1.v, s2.v)
-    found = _isomorphism_kernel(s1, True)(s2.third_table)
-    return _unchecked(found[0]) if found else None
+    found = next(_isomorphism_kernel(s1, False, None)(s2.third_table), None)
+    return None if found is None else _unchecked(found)
 
 
 @lru_cache(maxsize=64)
-def _isomorphism_kernel(s1: TripleSystem, first: bool = False, arcs: bool = False,
-                        mate: TripleSystem | None = None) -> Callable[..., list[tuple]]:
-    """The isomorphism search from s1, compiled to one straight-line function
-    of the third-point table t2 of a target system, returning the image tuple
-    of every isomorphism in the order found, or with ``first`` of the first.
-    With ``arcs`` it also takes v x v tables r1, r2 and keeps the maps with
-    ``r2[ix][iy] == r1[x][y]`` for x != y; with ``mate``, the third-point
-    table u2 of a second target, onto whose blocks it carries mate's.
+def _isomorphism_kernel(s1: TripleSystem, arcs: bool = False,
+                        mate: TripleSystem | None = None) -> Callable[..., Iterator[tuple]]:
+    """The isomorphism search from s1, compiled on first use (and kept for the
+    last 64 keys) to one straight-line generator of the third-point table t2
+    of a target system, yielding the image tuple of every isomorphism in the
+    order found.  With ``arcs`` it also takes a v x v table r and keeps the
+    maps with ``r[ix][iy] == r[x][y]`` for x != y; with ``mate``, those that
+    carry mate's blocks onto blocks of mate, read from its third-point table
+    u, which is compiled in, as mate is part of the key.
 
     The points of s1 are placed in their :func:`closure` order, the image
     of point x held in the local ``ix``.  Base point j loops over the images
@@ -282,14 +282,16 @@ def _isomorphism_kernel(s1: TripleSystem, first: bool = False, arcs: bool = Fals
     image ``t2[ia][ib]``, and the branch dies if that is -1.  Every other
     block {a, b, c} of s1 is checked once, where the last of its points, c,
     is placed: ``t2[ia][ib]`` must be ``ic``.  So is each block of mate in
-    u2, and each pair {x, y} in r1 and r2 where the later point is placed.
+    u, and each ordered pair (x, y) in r where the later point is placed.
 
     These checks prove that a leaf is an isomorphism.  Each block of s1
     either defines a derived point or is checked, so its three images form
     a block of s2 and are distinct.  Any two points of s1 lie in a block,
     so the map is injective, hence a bijection, and it carries the blocks
-    of s1 onto blocks of s2.  A leaf carries each extra arc or block onto
-    one, as each is checked.  No check of s1 is needed where a base point is
+    of s1 onto blocks of s2.  A leaf carries each block of mate onto a block
+    of mate, and each ordered pair onto one that is an arc exactly when it
+    is, as each is checked; being a bijection, it carries mate's blocks and
+    the arcs onto themselves.  No check of s1 is needed where a base point is
     placed: the points before it are closed, so no block has its last
     point there, nor a test that base point b takes a new image: for each
     earlier point q, the third point of {q, b} is derived right after b as
@@ -306,14 +308,12 @@ def _isomorphism_kernel(s1: TripleSystem, first: bool = False, arcs: bool = Fals
             checks[position[c]].append(f"if t2[i{a}][i{b}] != i{c}: continue")
     for block in mate.blocks if mate else ():
         a, b, c = sorted(block, key=position.__getitem__)
-        checks[position[c]].append(f"if u2[i{a}][i{b}] != i{c}: continue")
-    for x, y in combinations(range(s1.v) if arcs else (), 2):
-        checks[max(position[x], position[y])].append(
-            f"if r2[i{x}][i{y}] != r1[{x}][{y}] or r2[i{y}][i{x}] != r1[{y}][{x}]: continue")
+        checks[position[c]].append(f"if u[i{a}][i{b}] != i{c}: continue")
+    for x, y in permutations(range(s1.v) if arcs else (), 2):
+        checks[max(position[x], position[y])].append(f"if r[i{x}][i{y}] != r[{x}][{y}]: continue")
     base = [x for x, pair in order if pair is None]
     domains = ", ".join(f"d{j}=range({s1.v})" for j in range(len(base)))
-    tables = ", ".join(["t2"] + ["r1", "r2"] * arcs + ["u2"] * bool(mate))
-    lines = [f"def kernel({tables}, {domains}):", " out = []"]
+    lines = [f"def kernel({'t2, r' if arcs else 't2'}, {domains}):"]
     pad = " "
     for (x, pair), tests in zip(order, checks):
         if pair is None:
@@ -323,9 +323,8 @@ def _isomorphism_kernel(s1: TripleSystem, first: bool = False, arcs: bool = Fals
             lines.append(f"{pad}i{x} = t2[i{pair[0]}][i{pair[1]}]")
             lines.append(f"{pad}if i{x} < 0: continue")
         lines += [pad + test for test in tests]
-    leaf = f"({', '.join(f'i{x}' for x in range(s1.v))},)"
-    lines += [pad + (f"return [{leaf}]" if first else f"out.append({leaf})"), " return out"]
-    exec("\n".join(lines), namespace := {})
+    lines.append(f"{pad}yield ({', '.join(f'i{x}' for x in range(s1.v))},)")
+    exec("\n".join(lines), namespace := {"u": mate and mate.third_table})
     return namespace["kernel"]
 
 
@@ -356,11 +355,11 @@ def automorphism_chain(system: TripleSystem) -> Chain:
     """Aut(system) as (base, transversals): the base points of :func:`closure`
     and, per base point b_i and point y, the kernel's first map fixing the
     earlier base points and sending b_i to y, if any (the identity if y = b_i)."""
-    first, table = _isomorphism_kernel(system, True), system.third_table
+    kernel, table = _isomorphism_kernel(system, False, None), system.third_table
     base = tuple(x for x, pair in closure(system, range(system.v)) if pair is None)
     fixed = [[(a,) for a in base[:i]] for i in range(len(base))]
-    maps = [[first(table, *f, (y,)) for y in range(system.v)] for f in fixed]
-    return base, tuple(tuple(_unchecked(m[0]) for m in level if m) for level in maps)
+    maps = [[next(kernel(table, *f, (y,)), None) for y in range(system.v)] for f in fixed]
+    return base, tuple(tuple(map(_unchecked, filter(None, level))) for level in maps)
 
 
 def automorphism_group(system: TripleSystem) -> PermGroup:
@@ -378,7 +377,7 @@ def automorphism_group(system: TripleSystem) -> PermGroup:
 def common_automorphism_group(s1: TripleSystem, s2: TripleSystem) -> PermGroup:
     """Automorphisms of s1 that stabilize the blocks of s2, as point sets: one
     kernel search, with no closure check, as a stabilizer is a subgroup."""
-    return PermGroup(s1.v, tuple(isomorphisms(s1, s1, mate=(s2, s2))))
+    return PermGroup(s1.v, tuple(isomorphisms(s1, s1, mate=s2)))
 
 
 def exact_covers(

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fano21 import orient
+from fano21 import embed, orient
 from fano21.cli import main
 from fano21.perms import Perm, group_from_elements
 from fano21.steiner import (
@@ -453,3 +453,18 @@ def test_validate_orientation_rejects_a_stray_arc(b1):
 def test_validate_circuit_rejects_bad_points(b1, bad):
     with pytest.raises(CircuitError, match=f"point {bad!r} is not"):
         validate_circuit(b1, (0, bad, 2, 3, 4, 5, 6))
+
+
+@pytest.mark.parametrize("call, error, value", [
+    (lambda b1: validate_sts(7, None), StsError, None),
+    (lambda b1: validate_sts(7, [1] * 7), StsError, [1] * 7),
+    (lambda b1: embed.validate_rotation(3, {0: [[1, 2], 1], 1: [0, 2], 2: [0, 1]}),
+     embed.RotationError, [[1, 2], 1]),
+    (lambda b1: embed.validate_rotation(3, {0: 5, 1: [0, 2], 2: [0, 1]}), embed.RotationError, 5),
+    (lambda b1: validate_orientation(b1, None), OrientationError, None),
+    (lambda b1: validate_circuit(b1, 5), CircuitError, 5),
+], ids=["sts-none", "sts-ints", "rotation-mixed", "rotation-int", "orientation-none",
+        "circuit-int"])
+def test_non_iterable_input_raises_a_typed_error_naming_it(b1, call, error, value):
+    with pytest.raises(error, match=re.escape(repr(value))):
+        call(b1)

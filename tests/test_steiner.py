@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -188,18 +188,19 @@ def test_automorphism_group_of_relabellings(b1, ag23, sts61, data):
 
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_first_map_kernel_returns_the_first_of_all_maps(all_planes, ag23, data):
-    # the same search with the same domains, stopped at its first leaf
+def test_kernel_with_domains_yields_the_isomorphisms_with_those_base_images(
+        all_planes, ag23, data):
+    # domains restrict the images of the first base points and nothing else
     s1, s2 = data.draw(st.sampled_from([
         (all_planes[data.draw(st.integers(0, 29))], all_planes[data.draw(st.integers(0, 29))]),
         (ag23, ag23),
     ]))
-    bases = sum(pair is None for _, pair in closure(s1, range(s1.v)))
+    base = [x for x, pair in closure(s1, range(s1.v)) if pair is None]
     domains = [data.draw(st.lists(st.integers(0, s1.v - 1), max_size=3, unique=True))
-               for _ in range(data.draw(st.integers(0, bases)))]
-    every = steiner._isomorphism_kernel(s1)(s2.third_table, *domains)
-    first = steiner._isomorphism_kernel(s1, True)(s2.third_table, *domains)
-    assert first == every[:1]
+               for _ in range(data.draw(st.integers(0, len(base))))]
+    found = sorted(steiner._isomorphism_kernel(s1)(s2.third_table, *domains))
+    assert found == [p.images for p in isomorphisms(s1, s2)
+                     if all(p(b) in d for b, d in zip(base, domains))]
 
 
 @pytest.mark.parametrize("name", ["b1", "ag23", "sts13", "sts61", "pg32"])
@@ -212,9 +213,8 @@ def test_kernel_never_repeats_an_image(request, name):
     for j, b in enumerate(base[1:], 1):
         for q, _ in order[:order.index((b, None))]:
             domains = [(a,) for a in base[:j]] + [(q,)]
-            for first in (False, True):
-                kernel = steiner._isomorphism_kernel(system, first)
-                assert kernel(system.third_table, *domains) == []
+            kernel = steiner._isomorphism_kernel(system)
+            assert list(kernel(system.third_table, *domains)) == []
 
 
 @settings(max_examples=5, deadline=None)
@@ -226,6 +226,39 @@ def test_isomorphisms_onto_relabellings_are_the_coset(ag23, pg32, data):
         target = map_sts(tau, system)
         coset = sorted(compose(tau, g) for g in isomorphisms(system, system))
         assert isomorphisms(system, target) == coset
+
+
+def test_every_search_from_a_system_shares_one_kernel(b1, b2):
+    steiner._isomorphism_kernel.cache_clear()
+    isomorphisms(b1, b1)
+    is_isomorphic(b1, b2)
+    automorphism_chain(b1)
+    assert steiner._isomorphism_kernel.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("name", ["b1", "ag23", "sts13", "sts61"])
+def test_one_sided_arcs_and_mate_filter_the_isomorphisms(request, name):
+    # the arcs and the mate live on the points of the relabelled target, and
+    # a kept map carries each onto itself; tau keeps both, so some map passes
+    system = cyclic_sts13() if name == "sts13" else request.getfixturevalue(name)
+    v, rng = system.v, random.Random(system.v)
+    mate = map_sts(Perm(tuple(rng.sample(range(v), v))), system)
+    tau = rng.choice([p for p in isomorphisms(mate, mate) if map_sts(p, system) != system])
+    target = map_sts(tau, system)
+    arcs: set[tuple[int, int]] = set()
+    for x, y in rng.sample(list(permutations(range(v), 2)), v):
+        while (x, y) not in arcs:  # the orbit of (x, y) under tau
+            arcs.add((x, y))
+            x, y = tau(x), tau(y)
+    every = isomorphisms(system, target)
+    kept = [p for p in every if all(((p(x), p(y)) in arcs) == ((x, y) in arcs)
+                                    for x, y in permutations(range(v), 2))]
+    assert tau in kept and len(kept) < len(every)
+    assert isomorphisms(system, target, arcs=arcs) == kept
+    blocks = mate.block_set()
+    kept = [p for p in every if all(tuple(sorted(map(p, b))) in blocks for b in blocks)]
+    assert tau in kept and len(kept) < len(every)
+    assert isomorphisms(system, target, mate=mate) == kept
 
 
 def test_isomorphism_kernel_is_not_built_at_import():
