@@ -3,7 +3,11 @@
 Subcommands: verify-all, enumerate, faces, classify, aut, octonion-table.
 Exit codes: 0 success, 1 logical failure or validation error, 2 I/O or
 parse error.  Output is deterministic; ANSI styling is used only on a
-terminal and is suppressed by the NO_COLOR environment variable.
+terminal and is suppressed by the NO_COLOR environment variable.  The
+``--format json`` output of verify-all, enumerate and faces has exactly
+the bytes that the stdlib's ``json.dumps`` writes with ``indent=2``; a
+small writer produces it, since the stdlib encodes indented JSON in pure
+Python.
 """
 
 from __future__ import annotations
@@ -89,10 +93,26 @@ def _block_str(block: Sequence[int], v: int) -> str:
     return "{" + ",".join(str(x) for x in block) + "}"
 
 
+def _indented(obj, newline: str = "\n") -> str:
+    """The bytes of json.dumps with indent=2, for a JSON value whose objects
+    have str keys: containers are laid out here, and every scalar and empty
+    container is encoded by the stdlib's C encoder."""
+    inner = newline + "  "
+    comma = "," + inner
+    if isinstance(obj, (list, tuple)) and obj:
+        if all(type(x) is int for x in obj):  # not bool, which prints as true
+            return "[" + inner + comma.join(map(int.__repr__, obj)) + newline + "]"
+        return "[" + inner + comma.join([_indented(x, inner) for x in obj]) + newline + "]"
+    if isinstance(obj, dict) and obj:
+        items = [json.dumps(k) + ": " + _indented(v, inner) for k, v in obj.items()]
+        return "{" + inner + comma.join(items) + newline + "}"
+    return json.dumps(obj)
+
+
 def cmd_verify_all(args: argparse.Namespace) -> int:
     reports = certificates.run_all()
     if args.format == "json":
-        print(json.dumps([r.to_json() for r in reports], indent=2))
+        print(_indented([r.to_json() for r in reports]))
     else:
         for r in reports:
             witness = ", ".join(f"{k}={v}" for k, v in r.witness.items())
@@ -111,7 +131,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     else:  # parallel-classes, the last of the kinds argparse allows
         items = [[list(b) for b in cls] for cls in kirkman.parallel_classes(design)]
     if args.format == "json":
-        print(json.dumps(items, indent=2))
+        print(_indented(items))
         return 0
     for i, item in enumerate(items):
         if args.kind == "mates":
@@ -142,7 +162,7 @@ def cmd_faces(args: argparse.Namespace) -> int:
     if args.format == "json":
         out = {"faces": [list(f.walk) for f in faces], "euler_characteristic": chi,
                "coloring": color_json}
-        print(json.dumps(out, indent=2))
+        print(_indented(out))
     else:
         for f in faces:
             print("face: (" + " ".join(str(v) for v in f.walk) + ")")

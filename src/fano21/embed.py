@@ -95,11 +95,14 @@ def validate_rotation(n: int, rotation: Mapping[int, Sequence]) -> RotationSyste
     The value at a vertex is either one cycle, e.g. ``[1, 5, 4, 6, 2, 3]``,
     or a list of cycles; more than one cycle is rejected, since the
     rotation at a vertex must be a single cycle on all its neighbors.
-    An n < 2 (no edges, so no faces), a non-int n or neighbor, and a key
-    that is not a vertex 0..n-1 are rejected.
+    An n < 2 (no edges, so no faces), a rotation that is not a mapping, a
+    non-int n or neighbor, and a key that is not a vertex 0..n-1 are
+    rejected.
     """
     if type(n) is not int or n < 2:
         raise RotationError(f"K_n needs an integer n >= 2 to have edges, got n={n!r}")
+    if not isinstance(rotation, Mapping):
+        raise RotationError(f"a rotation maps each vertex to its cycle, got {rotation!r}")
     for key in rotation:
         if type(key) is not int or not 0 <= key < n:
             raise RotationError(f"rotation key {key!r} is not a vertex 0..{n - 1}")
@@ -164,6 +167,8 @@ def rotation_from_json(data: dict) -> RotationSystem:
 
 
 def rotation_from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> RotationSystem:
+    if not isinstance(cycles, Iterable):
+        raise RotationError(f"the cycles of a rotation are a list, got {cycles!r}")
     return validate_rotation(n, dict(enumerate(cycles)))
 
 

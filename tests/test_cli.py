@@ -7,13 +7,15 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fano21
 from fano21 import certificates, orient
-from fano21.cli import AUT_LIST_LIMIT, BUILTIN_DESIGNS, BUILTIN_ROTATIONS, build_parser, main
+from fano21.cli import AUT_LIST_LIMIT, BUILTIN_DESIGNS, BUILTIN_ROTATIONS, _indented, build_parser, main
+from fano21.embed import classical_rotation
 from fano21.kirkman import sts15_61
 from fano21.steiner import fano_b1
 
@@ -101,6 +103,77 @@ def test_verify_all_json(capsys):
     assert {r["status"] for r in reports} == {"PASS"}
     names = [r["name"] for r in reports]
     assert "mate-count-8" in names and "oracle-agreement" in names
+
+
+# JSON values with str keys, weighted towards what the writer treats
+# apart: lists of ints, bools among ints, floats the C encoder spells out,
+# escaped text and empty containers
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2 ** 64)
+    | st.integers(max_value=-2 ** 64) | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]) | st.text()
+    | st.text(alphabet='"\\/\x00\x08\x1f\x7f\u00e9\u2028\u2603\U0001f600'),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.lists(st.integers() | st.booleans()) | st.dictionaries(st.text(), inner),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_VALUES)
+def test_writer_prints_the_bytes_of_the_stdlib_encoder(value):
+    assert _indented(value) == json.dumps(value, indent=2)
+
+
+def json_output(capsys, *argv):
+    """The parsed --format json output of a command that exits 0, after
+    checking that it has the bytes of the stdlib's indent=2 encoding."""
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0 and err == ""
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    return json.loads(out)
+
+
+def test_enumerate_and_verify_all_print_the_bytes_of_the_stdlib_encoder(
+        tmp_path, capsys, all_planes):
+    path = tmp_path / "plane.json"
+    for plane in all_planes:
+        path.write_text(json.dumps(plane.to_json()))
+        for kind, count in ("mates", 8), ("orientations", 8), ("circuits", 24):
+            assert len(json_output(capsys, "enumerate", kind, "--design", str(path))) == count
+    assert len(json_output(capsys, "enumerate", "parallel-classes", "--builtin", "sts61")) == 7
+    assert len(json_output(capsys, "verify-all")) == 14
+
+
+def test_faces_print_the_bytes_of_the_stdlib_encoder(tmp_path, capsys):
+    classical = classical_rotation()
+    cycles = [classical.cycle_at(x) for x in range(7)]
+    rotations = [(7, [c[::-1] for c in cycles])]  # the mirror
+    for seed in range(20):
+        sigma = list(range(7))
+        Random(seed).shuffle(sigma)
+        relabelled = {sigma[x]: [sigma[y] for y in c] for x, c in enumerate(cycles)}
+        rotations.append((7, [relabelled[x] for x in range(7)]))
+    rotations += [(3, [[1, 2], [2, 0], [0, 1]]),  # K3
+                  (4, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])]  # not 2-colourable
+    assert json_output(capsys, "faces", "--builtin", "classical-rotation")["coloring"]
+    path = tmp_path / "rotation.json"
+    for n, rotation in rotations:
+        path.write_text(json.dumps({"n": n, "rotation": dict(enumerate(rotation))}))
+        data = json_output(capsys, "faces", "--rotation", str(path))
+        assert (data["coloring"] is None) == (n == 4)
+
+
+def test_no_command_falls_back_to_the_pure_python_encoder(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError, match="pure-Python"):
+        json.dumps([1], indent=2)
+    for argv in (["verify-all"], ["enumerate", "orientations", "--builtin", "b1"],
+                 ["faces", "--builtin", "classical-rotation"]):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out)
 
 
 def test_enumerate_mates_builtin(capsys):

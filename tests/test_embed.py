@@ -69,6 +69,16 @@ def test_validate_rotation_missing_neighbor():
     assert (exc.value.vertex, exc.value.neighbor) == (0, 6)
 
 
+@pytest.mark.parametrize("call, value", [
+    (lambda: validate_rotation(3, None), None),
+    (lambda: validate_rotation(3, 5), 5),
+    (lambda: rotation_from_cycles(3, None), None),
+], ids=["validate-none", "validate-int", "from-cycles-none"])
+def test_rotation_that_is_no_mapping_raises_a_rotation_error_naming_it(call, value):
+    with pytest.raises(RotationError, match=f"got {value!r}$"):
+        call()
+
+
 def test_classical_rotation_formula(classical):
     # rho_x(y) = 5y - 4x (mod 7)
     assert classical.cycle_at(0) == (1, 5, 4, 6, 2, 3)
