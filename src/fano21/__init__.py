@@ -53,6 +53,6 @@ from .kirkman import (
     sts15_from_pair,
     sts_automorphism_group15,
 )
-from .octonion import Octonion, cartan_table, is_algebra_automorphism, multiply, norm
+from .octonion import Octonion, cartan_table, is_algebra_automorphism, multiply
 
 __version__ = "0.1.0"

@@ -5,13 +5,28 @@ Basis index 0 is the real unit 1, indices 1..7 are the imaginary units.
 The unit e_p corresponds to plane point p for p in 1..6 and e_7 to
 point 0.  If {e_i, e_j, e_k} is a block oriented e_i -> e_j -> e_k, then
 e_i e_j = e_k and e_j e_i = -e_k; each e_i squares to -1.
+
+The laws are proved on the basis, by full linearisation (Conway and
+Smith, *On Quaternions and Octonions*, 2003).  The product is bilinear
+and the associator [x, y, z] = (xy)z - x(yz) trilinear, and a
+polynomial identity over the rationals holds exactly when its polarised
+form does on a basis:
+
+- (xx)y = x(xy) and y(xx) = (yx)x for all x, y exactly when
+  [e_i, e_j, e_k] + [e_j, e_i, e_k] = 0 and
+  [e_k, e_i, e_j] + [e_k, e_j, e_i] = 0 for all 512 basis triples, i = j
+  included (:func:`alternative_law_failure`);
+- N(xy) = N(x) N(y), N the sum of squared coefficients, for all x, y
+  exactly when <e_a e_b, e_c e_d> + <e_a e_d, e_c e_b> = 2 d_ac d_bd
+  for all 4096 basis quadruples, <,> the dot product and d the
+  Kronecker delta (:func:`composition_law_failure`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from random import Random
+from itertools import product
 from typing import Callable
 
 from .orient import OrientedFano, qr_orientation
@@ -133,9 +148,50 @@ def _unchecked(coeffs: tuple[int, ...]) -> Octonion:
     return x
 
 
-def norm(a: Octonion) -> int:
-    """Sum of squared coefficients (the exact squared Euclidean norm)."""
-    return sum(c * c for c in a.coeffs)
+def unit_table(table: Table) -> list[tuple[SignedBasis, ...]]:
+    """The 8x8 table of products e_a e_b, a, b in 0..7, e_0 = 1 being the
+    identity: the table's rows with row and column 0 added."""
+    return [tuple((1, b) for b in range(8)),
+            *(((1, a), *row) for a, row in enumerate(table, start=1))]
+
+
+def alternative_law_failure(table: Table) -> tuple[int, int, int] | None:
+    """The first basis triple (i, j, k) in 0..7 at which
+    [e_i, e_j, e_k] + [e_j, e_i, e_k] or [e_k, e_i, e_j] + [e_k, e_j, e_i]
+    is not 0, or None: the linearised left and right alternative laws."""
+    units = unit_table(table)
+
+    def add_associator(out: list[int], i: int, j: int, k: int) -> None:
+        (s, p), (t, q) = units[i][j], units[j][k]
+        (s2, p2), (t2, q2) = units[p][k], units[i][q]
+        out[p2] += s * s2
+        out[q2] -= t * t2
+
+    for i, j, k in product(range(8), repeat=3):
+        left, right = [0] * 8, [0] * 8
+        add_associator(left, i, j, k)
+        add_associator(left, j, i, k)
+        add_associator(right, k, i, j)
+        add_associator(right, k, j, i)
+        if any(left) or any(right):
+            return i, j, k
+    return None
+
+
+def composition_law_failure(table: Table) -> tuple[int, int, int, int] | None:
+    """The first basis quadruple (a, b, c, d) in 0..7 at which
+    <e_a e_b, e_c e_d> + <e_a e_d, e_c e_b> != 2 d_ac d_bd, or None: the
+    composition law N(xy) = N(x) N(y) polarised in x and in y."""
+    units = unit_table(table)
+
+    def inner(a: int, b: int, c: int, d: int) -> int:
+        (s, p), (t, q) = units[a][b], units[c][d]
+        return s * t if p == q else 0
+
+    for a, b, c, d in product(range(8), repeat=4):
+        if inner(a, b, c, d) + inner(a, d, c, b) != 2 * (a == c and b == d):
+            return a, b, c, d
+    return None
 
 
 def is_algebra_automorphism(sigma: Perm, table: Table) -> bool:
@@ -172,12 +228,6 @@ def algebra_automorphism_perms(table: Table) -> list[Perm]:
     plus = {(x, y) for x, y, (sign, _) in pairs if sign == 1}
     candidates = isomorphisms(plane, plane, arcs=plus)
     return [p for p in candidates if is_algebra_automorphism(p, table)]
-
-
-def random_octonions(count: int, seed: int = 21) -> list[Octonion]:
-    """Seeded samples with coefficients in -9..9, for exact property checks."""
-    rng = Random(seed)
-    return [Octonion(tuple(rng.randint(-9, 9) for _ in range(8))) for _ in range(count)]
 
 
 def table_to_json(table: Table) -> dict:

@@ -143,7 +143,17 @@ def test_certificate_fails_when_a_product_is_wrong(monkeypatch):
     monkeypatch.setattr(octonion, "multiply", plus_one)
     report = run_check("octonion-f21")
     assert report.status == "FAIL"
-    assert report.witness == {"sample": 0}
+    assert report.witness == {"product": [0, 0]}
+
+
+def test_certificate_fails_when_a_sign_of_the_table_is_wrong(monkeypatch):
+    # e1 e2 = -e4, so e1 (e1 e2) = e2 while (e1 e1) e2 = -e2
+    rows = [list(row) for row in octonion.cartan_table()]
+    rows[0][1] = (-1, 4)
+    monkeypatch.setattr(octonion, "cartan_table", lambda: tuple(map(tuple, rows)))
+    report = run_check("octonion-f21")
+    assert report.status == "FAIL"
+    assert report.witness == {"triple": (1, 1, 2)}
 
 
 def test_certificate_fails_when_a_mate_is_dropped(monkeypatch):

@@ -1,7 +1,9 @@
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,13 +15,13 @@ from fano21.perms import Perm, group_from_elements
 from fano21.octonion import (
     Octonion,
     algebra_automorphism_perms,
+    alternative_law_failure,
     basis_product,
     cartan_table,
+    composition_law_failure,
     is_algebra_automorphism,
     multiply,
-    norm,
     point_to_unit,
-    random_octonions,
     table_to_json,
     table_to_text,
     unit_to_point,
@@ -33,6 +35,17 @@ ONE = Octonion((1, 0, 0, 0, 0, 0, 0, 0))
 def basis(i):
     """The basis octonion e_i, e_0 being the real unit."""
     return Octonion(tuple(int(k == i) for k in range(8)))
+
+
+def random_octonions(count, seed=21):
+    """Seeded samples with coefficients in -9..9, for exact property checks."""
+    rng = Random(seed)
+    return [Octonion(tuple(rng.randint(-9, 9) for _ in range(8))) for _ in range(count)]
+
+
+def norm(a):
+    """Sum of squared coefficients (the exact squared Euclidean norm)."""
+    return sum(c * c for c in a.coeffs)
 
 
 def multiply_by_definition(a, b, table=None):
@@ -143,6 +156,63 @@ def test_norm_multiplicative_on_samples():
     samples = random_octonions(60, seed=23)
     for a, b in zip(samples[::2], samples[1::2]):
         assert norm(multiply(a, b)) == norm(a) * norm(b)
+
+
+def transpose(table):
+    return tuple(zip(*table))
+
+
+def with_sign_flipped(table, i, j):
+    """The table with the sign of e_i e_j flipped."""
+    rows = [list(row) for row in table]
+    sign, k = rows[i - 1][j - 1]
+    rows[i - 1][j - 1] = (-sign, k)
+    return tuple(map(tuple, rows))
+
+
+def test_laws_hold_on_the_basis():
+    for table in cartan_table(), transpose(cartan_table()):
+        assert alternative_law_failure(table) is None
+        assert composition_law_failure(table) is None
+
+
+def test_laws_fail_on_every_single_sign_flip():
+    # each of the 42 off-diagonal entries, its sign flipped, breaks both laws
+    flips = [(i, j) for i, j in product(range(1, 8), repeat=2) if i != j]
+    assert len(flips) == 42
+    for i, j in flips:
+        table = with_sign_flipped(cartan_table(), i, j)
+        assert alternative_law_failure(table) is not None, (i, j)
+        assert composition_law_failure(table) is not None, (i, j)
+
+
+def test_law_failures_name_the_first_basis_tuple():
+    # e1 e2 = -e4 and e2 e1 = -e4: (e1 e1) e2 = -e2 but e1 (e1 e2) = -e1 e4 = e2,
+    # and <e2, e1 e4> + <e4, e1 e2> = <e2, -e2> + <e4, -e4> = -2, not 0
+    table = with_sign_flipped(cartan_table(), 1, 2)
+    assert alternative_law_failure(table) == (1, 1, 2)
+    assert composition_law_failure(table) == (0, 2, 1, 4)
+
+
+def test_sixteen_of_the_128_line_orientations_of_b1_are_octonions(b1):
+    # orient each of the 7 lines cyclically one of 2 ways: exactly the tables of
+    # the 8 orientations of b1 and their transposes (every line turned) give
+    # alternative composition algebras
+    unit = point_to_unit
+    passing = set()
+    for turns in product((False, True), repeat=7):
+        rows = [[(-1, 0)] * 7 for _ in range(7)]
+        for (x, y, z), turn in zip(b1.blocks, turns):
+            cycle = (x, z, y) if turn else (x, y, z)
+            for p, q, r in (cycle, cycle[1:] + cycle[:1], cycle[2:] + cycle[:2]):
+                rows[unit(p) - 1][unit(q) - 1] = (1, unit(r))
+                rows[unit(q) - 1][unit(p) - 1] = (-1, unit(r))
+        table = tuple(map(tuple, rows))
+        if alternative_law_failure(table) is None and composition_law_failure(table) is None:
+            passing.add(table)
+    classical = {cartan_table(o) for o in all_orientations(b1)}
+    assert len(passing) == 16
+    assert passing == classical | {transpose(table) for table in classical}
 
 
 _octonions = st.tuples(*[st.integers(-9, 9)] * 8).map(Octonion)

@@ -272,9 +272,11 @@ def test_isomorphism_kernel_is_not_built_at_import():
     assert out.split() == ["0", "1"]
 
 
-def test_bruteforce_oracle_agrees(b1, b2):
-    assert isomorphisms(b1, b2) == isomorphisms_bruteforce(b1, b2)
-    assert isomorphisms(b1, b1) == isomorphisms_bruteforce(b1, b1)
+def test_bruteforce_oracle_agrees(b1, all_planes):
+    # b2 is among the planes; the maps come out of the sweep in order, unsorted
+    for s1, s2 in [(p, p) for p in all_planes] + [(b1, p) for p in all_planes]:
+        maps = isomorphisms_bruteforce(s1, s2)
+        assert maps == sorted(maps) == isomorphisms(s1, s2)
 
 
 def test_bruteforce_oracle_onto_every_plane(b1, all_planes):
@@ -287,6 +289,12 @@ def test_bruteforce_oracle_onto_every_plane(b1, all_planes):
             assert sorted(tuple(sorted(map(p, b))) for b in b1.blocks) == list(q.blocks)
         found.update(maps)
     assert len(found) == 5040
+
+
+def test_bruteforce_oracle_is_for_fano_planes_only(b1):
+    for s1, s2 in (cyclic_sts13(), b1), (b1, cyclic_sts13()), (sts15_61(), sts15_61()):
+        with pytest.raises(StsError, match="only tuned for v=7"):
+            isomorphisms_bruteforce(s1, s2)
 
 
 @given(st.permutations(range(7)), st.permutations(range(7)))
