@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import certificates, embed, kirkman, octonion, orient, steiner
 from .kirkman import point_name
-from .perms import classify_order21, group_from_chain
+from .perms import Perm, PermGroup, chain_images, classify_order21
 
 BUILTIN_DESIGNS = {
     "b1": steiner.fano_b1,
@@ -193,26 +193,29 @@ def cmd_aut(args: argparse.Namespace) -> int:
     design = _input_from_args(args, "design")
     base, transversals = steiner.automorphism_chain(design)
     order, lengths = math.prod(map(len, transversals)), [len(t) for t in transversals]
-    group = group_from_chain(design.v, transversals) if order <= AUT_LIST_LIMIT else None
-    tag = classify_order21(group) if order == 21 else None
-    listed = group or [u for b, t in zip(base, transversals) for u in t if u(b) != b]
+    listing = order <= AUT_LIST_LIMIT
+    if listing:
+        listed = chain_images(design.v, transversals)
+    else:
+        listed = [u.images for b, t in zip(base, transversals) for u in t if u(b) != b]
+    tag = classify_order21(PermGroup(design.v, tuple(map(Perm, listed)))) if order == 21 else None
     if args.format == "json":
         out = {"order": order, "classification": tag, "elements": None}
-        if group:
-            out["elements"] = [p.images for p in listed]
+        if listing:
+            out["elements"] = listed
         else:
-            out.update(base=base, orbit_lengths=lengths, generators=[p.images for p in listed])
+            out.update(base=base, orbit_lengths=lengths, generators=listed)
         print(json.dumps(out))
         return 0
     print(f"order: {order}")
     if tag:
         print(f"classification: {tag}")
-    if not group:
+    if not listing:
         print("base:", *base)
         print("orbit lengths:", *lengths)
         print("transversal generators:")
-    for p in listed:
-        print(p.cycle_string())
+    for images in listed:
+        print(Perm(images).cycle_string())
     return 0
 
 

@@ -6,15 +6,17 @@ A :class:`Perm` is applied by calling it and multiplied only through
 order; the library needs none of them.  Groups are stored as full element
 lists, sorted lexicographically by image tuple so that every enumeration is
 deterministic.  Groups come from generators, a base and transversals
-(:func:`group_from_chain`) or a :func:`stabilizer` in a group, with no
-closure check; :func:`group_from_elements`, which proves one, is an oracle.
+(:func:`chain_images` lists their products as sorted image tuples, and
+:func:`group_from_chain` wraps those in Perms) or a :func:`stabilizer` in a
+group, with no closure check; :func:`group_from_elements`, which proves one,
+is an oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from operator import itemgetter
+from itertools import combinations, compress
+from operator import eq, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -104,19 +106,10 @@ class PermGroup:
     elements: tuple[Perm, ...]
 
     def __post_init__(self) -> None:
-        # keyed by image tuple: its hash and comparisons run in C
+        # a list of elements is a chain of one transversal
         by_images = {p.images: p for p in self.elements}
-        if len(by_images) < len(self.elements):
-            # the second listing of an element finds its key gone
-            repeat = next(p for p in self.elements if by_images.pop(p.images, None) is None)
-            raise ValueError(f"element {repeat.images} is listed more than once")
-        if any(len(images) != self.degree for images in by_images):
-            raise DegreeMismatch("mixed degrees in group")
-        if tuple(range(self.degree)) not in by_images:
-            raise ValueError("group does not contain the identity")
-        object.__setattr__(
-            self, "elements", tuple(by_images[k] for k in sorted(by_images))
-        )
+        object.__setattr__(self, "elements", tuple(
+            map(by_images.__getitem__, chain_images(self.degree, [self.elements]))))
 
     @property
     def order(self) -> int:
@@ -124,9 +117,6 @@ class PermGroup:
 
     def __iter__(self) -> Iterator[Perm]:
         return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
     def is_abelian(self) -> bool:
         return all(compose(p, q) == compose(q, p) for p, q in combinations(self.elements, 2))
@@ -194,17 +184,38 @@ def group_from_elements(degree: int, elements: Iterable[Perm]) -> PermGroup:
     return g
 
 
-def group_from_chain(degree: int, transversals: Sequence[Sequence[Perm]]) -> PermGroup:
-    """The products u_0 * u_1 * ... * u_{k-1}, u_i in transversals[i], which
-    list a group once each if the transversals form a chain down to the
-    identity (see :func:`fano21.steiner.automorphism_group`).  Level 0 takes
-    no ``itemgetter``, whose form for one index would return a bare int."""
+def chain_images(degree: int, transversals: Sequence[Sequence[Perm]]) -> list[tuple[int, ...]]:
+    """The image tuples of the products u_0 * u_1 * ... * u_{k-1}, u_i in
+    transversals[i], sorted, which list a group once each if the
+    transversals form a chain down to the identity (see
+    :func:`fano21.steiner.automorphism_chain`).  Raises if the list cannot be
+    a group: an element of another degree, a product listed twice, or no
+    identity, which among permutations of one degree is the least tuple.
+    Level 0 takes no ``itemgetter``, whose form for one index would return a
+    bare int, so one transversal is a list of elements, sorted and checked."""
+    if any(len(u.images) != degree for transversal in transversals for u in transversal):
+        raise DegreeMismatch("mixed degrees in group")
     first, *rest = transversals
     products = [u.images for u in first]
     for transversal in rest:
         getters = [itemgetter(*u.images) for u in transversal]
         products = [g(p) for p in products for g in getters]
-    return PermGroup(degree, tuple(map(_unchecked, products)))
+    products.sort()
+    # after the sort, a repeat is equal to its successor
+    if (repeat := next(compress(products, map(eq, products, products[1:])), None)):
+        raise ValueError(f"element {repeat} is listed more than once")
+    if products[:1] != [tuple(range(degree))]:
+        raise ValueError("group does not contain the identity")
+    return products
+
+
+def group_from_chain(degree: int, transversals: Sequence[Sequence[Perm]]) -> PermGroup:
+    """The group that :func:`chain_images` lists, as Perms, built without
+    ``PermGroup.__post_init__``: the list is sorted and checked already."""
+    group = _new_object(PermGroup)
+    _set_field(group, "degree", degree)
+    _set_field(group, "elements", tuple(map(_unchecked, chain_images(degree, transversals))))
+    return group
 
 
 def _image(images: tuple[int, ...], x):

@@ -33,9 +33,9 @@ def test_certificate_fails_when_a_map_is_dropped(name, monkeypatch):
     report = run_check(name)
     assert report.status == "FAIL"
     if name == "oracle-agreement":
-        # the first query is (b1, b1)
-        b1 = steiner.fano_b1().to_json()
-        assert report.witness == {"s1": b1, "s2": b1, "fast": 167, "slow": 168}
+        # the first query is (b1, b2)
+        b1, b2 = steiner.fano_b1().to_json(), steiner.fano_b2().to_json()
+        assert report.witness == {"s1": b1, "s2": b2, "fast": 167, "slow": 168}
     else:
         first = steiner.all_fano_planes()[0].to_json()
         assert report.witness == {"plane": first, "order": 167}

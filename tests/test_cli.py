@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fano21
-from fano21 import certificates, orient
+from fano21 import certificates, orient, perms, steiner
 from fano21.cli import AUT_LIST_LIMIT, BUILTIN_DESIGNS, BUILTIN_ROTATIONS, _indented, build_parser, main
 from fano21.embed import classical_rotation
 from fano21.kirkman import sts15_61
+from fano21.perms import Perm
 from fano21.steiner import fano_b1
 
 
@@ -373,6 +374,37 @@ def test_aut_lists_elements_up_to_the_limit(pg32, tmp_path, capsys):
     data = json.loads(out)
     assert data.keys() == {"order", "classification", "elements"}
     assert data["order"] == len(data["elements"]) == AUT_LIST_LIMIT == 20160
+
+
+@pytest.mark.parametrize("name", ["b1", "ag23", "sts13", "sts61", "pg32",
+                                  *(f"b1-{seed}" for seed in range(10))])
+def test_aut_lists_the_automorphism_group(request, tmp_path, capsys, name):
+    # the JSON elements are the image tuples of automorphism_group, in its order
+    if name == "sts13":
+        system = steiner.cyclic_sts13()
+    elif name.startswith("b1-"):
+        sigma = list(range(7))
+        Random(int(name[3:])).shuffle(sigma)
+        system = steiner.map_sts(Perm(tuple(sigma)), fano_b1())
+    else:
+        system = request.getfixturevalue(name)
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(system.to_json()))
+    code, out, _ = run(capsys, "aut", "--design", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["elements"] == [list(p.images) for p in steiner.automorphism_group(system)]
+
+
+def test_aut_builds_a_perm_per_transversal_element_only(monkeypatch, capsys):
+    # b1's chain has 7 + 6 + 4 transversal elements; the 168 listed
+    # elements are image tuples, with no Perm built for them
+    built = []
+    new_object, post_init = perms._new_object, Perm.__post_init__
+    monkeypatch.setattr(perms, "_new_object", lambda cls: built.append(cls) or new_object(cls))
+    monkeypatch.setattr(Perm, "__post_init__", lambda p: built.append(Perm) or post_init(p))
+    code, out, _ = run(capsys, "aut", "--builtin", "b1", "--format", "json")
+    assert code == 0 and len(json.loads(out)["elements"]) == 168
+    assert built.count(Perm) == 17
 
 
 def test_aut_of_inadmissible_order_exits_1(tmp_path, capsys):

@@ -13,6 +13,7 @@ from fano21.perms import (
     PermGroup,
     affine_group,
     affine_perm,
+    chain_images,
     classify_order21,
     compose,
     generate_group,
@@ -342,3 +343,13 @@ def test_groups_reject_a_repeated_element(b1):
     _, (first, *rest) = steiner.automorphism_chain(b1)
     with pytest.raises(ValueError, match="is listed more than once"):
         group_from_chain(7, [first + first[-1:], *rest])
+    with pytest.raises(ValueError, match="is listed more than once"):
+        chain_images(7, [first, *rest[:-1], rest[-1] + rest[-1][:1]])
+    # the identity is a product of identities only
+    with pytest.raises(ValueError, match="does not contain the identity"):
+        chain_images(7, [[u for u in first if u != E7], *rest])
+    with pytest.raises(DegreeMismatch, match="mixed degrees"):
+        chain_images(7, [[E7, Perm(tuple(range(6)))]])
+    # a later level of a higher degree is caught before its itemgetter runs
+    with pytest.raises(DegreeMismatch, match="mixed degrees"):
+        chain_images(7, [first, *rest, [Perm(tuple(range(8)))]])
