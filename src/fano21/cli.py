@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import certificates, embed, kirkman, octonion, orient, steiner
 from .kirkman import point_name
-from .perms import Perm, PermGroup, chain_images, classify_order21
+from .perms import PermGroup, _unchecked, chain_images, classify_order21
 
 BUILTIN_DESIGNS = {
     "b1": steiner.fano_b1,
@@ -193,29 +193,28 @@ def cmd_aut(args: argparse.Namespace) -> int:
     design = _input_from_args(args, "design")
     base, transversals = steiner.automorphism_chain(design)
     order, lengths = math.prod(map(len, transversals)), [len(t) for t in transversals]
-    listing = order <= AUT_LIST_LIMIT
-    if listing:
-        listed = chain_images(design.v, transversals)
+    # the elements as image tuples; above the limit, the generators as Perms
+    if order <= AUT_LIST_LIMIT:
+        elements, generators = chain_images(design.v, transversals), None
     else:
-        listed = [u.images for b, t in zip(base, transversals) for u in t if u(b) != b]
-    tag = classify_order21(PermGroup(design.v, tuple(map(Perm, listed)))) if order == 21 else None
+        elements, generators = None, [u for b, t in zip(base, transversals) for u in t if u(b) != b]
+    tag = classify_order21(PermGroup(design.v, tuple(map(_unchecked, elements)))) if order == 21 else None
     if args.format == "json":
-        out = {"order": order, "classification": tag, "elements": None}
-        if listing:
-            out["elements"] = listed
-        else:
-            out.update(base=base, orbit_lengths=lengths, generators=listed)
+        out = {"order": order, "classification": tag, "elements": elements}
+        if generators:
+            out.update(base=base, orbit_lengths=lengths, generators=[u.images for u in generators])
         print(json.dumps(out))
         return 0
     print(f"order: {order}")
     if tag:
         print(f"classification: {tag}")
-    if not listing:
+    if generators:
         print("base:", *base)
         print("orbit lengths:", *lengths)
         print("transversal generators:")
-    for images in listed:
-        print(Perm(images).cycle_string())
+    # the listed tuples are products of Perms, so each is a bijection
+    for p in generators or map(_unchecked, elements):
+        print(p.cycle_string())
     return 0
 
 

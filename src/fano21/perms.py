@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, compress
-from operator import eq, itemgetter
+from operator import attrgetter, eq, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -75,6 +75,8 @@ class Perm:
 # much as the composition itself
 _new_object = object.__new__
 _set_field = object.__setattr__
+# a sort key that reads a Perm's image tuple in C
+_images = attrgetter("images")
 
 
 def _unchecked(images: tuple[int, ...]) -> Perm:
@@ -106,10 +108,11 @@ class PermGroup:
     elements: tuple[Perm, ...]
 
     def __post_init__(self) -> None:
-        # a list of elements is a chain of one transversal
-        by_images = {p.images: p for p in self.elements}
-        object.__setattr__(self, "elements", tuple(
-            map(by_images.__getitem__, chain_images(self.degree, [self.elements]))))
+        # a list of elements is a chain of one transversal; sorted first, so
+        # that the check's sort is one pass and its order is the elements'
+        elements = sorted(self.elements, key=_images)
+        chain_images(self.degree, [elements])
+        object.__setattr__(self, "elements", tuple(elements))
 
     @property
     def order(self) -> int:
@@ -193,7 +196,7 @@ def chain_images(degree: int, transversals: Sequence[Sequence[Perm]]) -> list[tu
     identity, which among permutations of one degree is the least tuple.
     Level 0 takes no ``itemgetter``, whose form for one index would return a
     bare int, so one transversal is a list of elements, sorted and checked."""
-    if any(len(u.images) != degree for transversal in transversals for u in transversal):
+    if {len(u.images) for transversal in transversals for u in transversal} - {degree}:
         raise DegreeMismatch("mixed degrees in group")
     first, *rest = transversals
     products = [u.images for u in first]
@@ -210,12 +213,8 @@ def chain_images(degree: int, transversals: Sequence[Sequence[Perm]]) -> list[tu
 
 
 def group_from_chain(degree: int, transversals: Sequence[Sequence[Perm]]) -> PermGroup:
-    """The group that :func:`chain_images` lists, as Perms, built without
-    ``PermGroup.__post_init__``: the list is sorted and checked already."""
-    group = _new_object(PermGroup)
-    _set_field(group, "degree", degree)
-    _set_field(group, "elements", tuple(map(_unchecked, chain_images(degree, transversals))))
-    return group
+    """The group that :func:`chain_images` lists, as Perms."""
+    return PermGroup(degree, tuple(map(_unchecked, chain_images(degree, transversals))))
 
 
 def _image(images: tuple[int, ...], x):
