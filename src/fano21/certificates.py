@@ -14,7 +14,7 @@ from itertools import product
 from random import Random
 
 from . import embed, kirkman, octonion, orient, steiner
-from .perms import Perm, affine_group, classify_order21
+from .perms import Perm, affine_group, affine_perm, classify_order21
 
 
 @dataclass
@@ -203,7 +203,7 @@ def check_affine_preserving() -> dict:
     count = 0
     for a in (1, 2, 4):
         for b in range(7):
-            sigma = Perm(tuple((a * x + b) % 7 for x in range(7)))
+            sigma = affine_perm(7, a, b)
             _require(embed.isomorphism_flag(sigma, rot, rot) == embed.PRESERVING,
                      map=f"x -> {a}x+{b}")
             count += 1
@@ -225,7 +225,7 @@ def check_sts15_61() -> dict:
     _require(group.order == 21, order=group.order)
     _require(classify_order21(group) == "Frobenius21")
     # Aut is the lift of the pair's common group: sigma on 0..6, n' -> sigma(n)'
-    # and inf fixed; a v = 7 kernel search against the v = 15 chain search
+    # and inf fixed; a v = 7 search with the mate against the v = 15 search
     common = steiner.common_automorphism_group(steiner.fano_b1(), steiner.fano_b2())
     lifts = sorted(Perm(sigma.images + tuple(n + 7 for n in sigma.images) + (kirkman.INFINITY,))
                    for sigma in common)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import certificates, embed, kirkman, octonion, orient, steiner
 from .kirkman import point_name
-from .perms import PermGroup, _unchecked, chain_images, classify_order21
+from .perms import PermGroup, _unchecked, classify_order21
 
 BUILTIN_DESIGNS = {
     "b1": steiner.fano_b1,
@@ -195,7 +195,7 @@ def cmd_aut(args: argparse.Namespace) -> int:
     order, lengths = math.prod(map(len, transversals)), [len(t) for t in transversals]
     # the elements as image tuples; above the limit, the generators as Perms
     if order <= AUT_LIST_LIMIT:
-        elements, generators = chain_images(design.v, transversals), None
+        elements, generators = steiner.automorphism_images(design), None
     else:
         elements, generators = None, [u for b, t in zip(base, transversals) for u in t if u(b) != b]
     tag = classify_order21(PermGroup(design.v, tuple(map(_unchecked, elements)))) if order == 21 else None
@@ -212,7 +212,7 @@ def cmd_aut(args: argparse.Namespace) -> int:
         print("base:", *base)
         print("orbit lengths:", *lengths)
         print("transversal generators:")
-    # the listed tuples are products of Perms, so each is a bijection
+    # the kernel proves each listed tuple a bijection
     for p in generators or map(_unchecked, elements):
         print(p.cycle_string())
     return 0

@@ -5,9 +5,8 @@ A :class:`Perm` is applied by calling it and multiplied only through
 ``compose(p, q)(x) == p(q(x))``.  It has no product operator, inverse or
 order; the library needs none of them.  Groups are stored as full element
 lists, sorted lexicographically by image tuple so that every enumeration is
-deterministic.  Groups come from generators, a base and transversals
-(:func:`chain_images` lists their products as sorted image tuples, and
-:func:`group_from_chain` wraps those in Perms) or a :func:`stabilizer` in a
+deterministic.  Groups come from generators, from an exhaustive search
+(:func:`fano21.steiner.automorphism_group`) or from a :func:`stabilizer` in a
 group, with no closure check; :func:`group_from_elements`, which proves one,
 is an oracle.
 """
@@ -108,10 +107,16 @@ class PermGroup:
     elements: tuple[Perm, ...]
 
     def __post_init__(self) -> None:
-        # a list of elements is a chain of one transversal; sorted first, so
-        # that the check's sort is one pass and its order is the elements'
         elements = sorted(self.elements, key=_images)
-        chain_images(self.degree, [elements])
+        images = list(map(_images, elements))
+        if {len(p) for p in images} - {self.degree}:
+            raise DegreeMismatch("mixed degrees in group")
+        # after the sort, a repeat is equal to its successor
+        if (repeat := next(compress(images, map(eq, images, images[1:])), None)):
+            raise ValueError(f"element {repeat} is listed more than once")
+        # among permutations of one degree the identity is the least tuple
+        if images[:1] != [tuple(range(self.degree))]:
+            raise ValueError("group does not contain the identity")
         object.__setattr__(self, "elements", tuple(elements))
 
     @property
@@ -185,36 +190,6 @@ def group_from_elements(degree: int, elements: Iterable[Perm]) -> PermGroup:
         if images not in elems:
             raise ValueError("not closed under composition")
     return g
-
-
-def chain_images(degree: int, transversals: Sequence[Sequence[Perm]]) -> list[tuple[int, ...]]:
-    """The image tuples of the products u_0 * u_1 * ... * u_{k-1}, u_i in
-    transversals[i], sorted, which list a group once each if the
-    transversals form a chain down to the identity (see
-    :func:`fano21.steiner.automorphism_chain`).  Raises if the list cannot be
-    a group: an element of another degree, a product listed twice, or no
-    identity, which among permutations of one degree is the least tuple.
-    Level 0 takes no ``itemgetter``, whose form for one index would return a
-    bare int, so one transversal is a list of elements, sorted and checked."""
-    if {len(u.images) for transversal in transversals for u in transversal} - {degree}:
-        raise DegreeMismatch("mixed degrees in group")
-    first, *rest = transversals
-    products = [u.images for u in first]
-    for transversal in rest:
-        getters = [itemgetter(*u.images) for u in transversal]
-        products = [g(p) for p in products for g in getters]
-    products.sort()
-    # after the sort, a repeat is equal to its successor
-    if (repeat := next(compress(products, map(eq, products, products[1:])), None)):
-        raise ValueError(f"element {repeat} is listed more than once")
-    if products[:1] != [tuple(range(degree))]:
-        raise ValueError("group does not contain the identity")
-    return products
-
-
-def group_from_chain(degree: int, transversals: Sequence[Sequence[Perm]]) -> PermGroup:
-    """The group that :func:`chain_images` lists, as Perms."""
-    return PermGroup(degree, tuple(map(_unchecked, chain_images(degree, transversals))))
 
 
 def _image(images: tuple[int, ...], x):

@@ -12,7 +12,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .perms import Perm, PermGroup, _unchecked, group_from_chain
+from .perms import Perm, PermGroup, _unchecked, affine_perm
 
 Triple = tuple[int, int, int]
 ThirdTable = tuple[tuple[int, ...], ...]
@@ -165,10 +165,7 @@ def cyclic_sts13() -> TripleSystem:
 
 def negate_sts(system: TripleSystem) -> TripleSystem:
     """Replace every block {u,v,w} by {-u,-v,-w} (mod v)."""
-    v = system.v
-    return validate_sts(
-        v, [canonical_block((-x) % v for x in b) for b in system.blocks]
-    )
+    return map_sts(affine_perm(system.v, -1, 0), system)
 
 
 def map_sts(sigma: Perm, system: TripleSystem) -> TripleSystem:
@@ -244,8 +241,8 @@ def isomorphisms(s1: TripleSystem, s2: TripleSystem, arcs: frozenset | set | Non
     ``arcs``, a set of ordered pairs, those carrying arcs onto arcs, and with
     ``mate``, a system on the same points, those carrying its blocks onto its
     blocks.  Runs the search kernel compiled for s1 and mate (see
-    :func:`_isomorphism_kernel`), whose checks prove each image tuple a
-    bijection, so Perm's own check is skipped."""
+    :func:`_isomorphism_kernel`), which yields the maps sorted and whose
+    checks prove each image tuple a bijection, so Perm's own check is skipped."""
     v, tables = s1.v, [s2.third_table]
     for s in (s2, mate) if mate else (s2,):
         if s.v != v:
@@ -253,7 +250,7 @@ def isomorphisms(s1: TripleSystem, s2: TripleSystem, arcs: frozenset | set | Non
     if arcs:
         tables.append(tuple(tuple((x, y) in arcs for y in range(v)) for x in range(v)))
     kernel = _isomorphism_kernel(s1, bool(arcs), mate)
-    return list(map(_unchecked, sorted(kernel(*tables))))
+    return list(map(_unchecked, kernel(*tables)))
 
 
 def is_isomorphic(s1: TripleSystem, s2: TripleSystem) -> Perm | None:
@@ -297,6 +294,12 @@ def _isomorphism_kernel(s1: TripleSystem, arcs: bool = False,
     earlier point q, the third point of {q, b} is derived right after b as
     ``t2[iq][ib]``, -1 exactly when ib == iq.  The source holds only v and
     the points of s1 and mate, which :func:`validate_sts` checks to be ints.
+
+    With ascending domains, as ``range(v)`` is, the maps come sorted by image
+    tuple.  Base point b_i is the least point outside the closure of b_0..b_{i-1},
+    so those base images fix every image below b_i.  If g is found before h,
+    and b_i is the first base point they map apart, they agree below b_i, and
+    the loop over d_i reached g(b_i) first: g(b_i) < h(b_i), so g < h.
     """
     order = list(closure(s1, range(s1.v)))
     position = {x: k for k, (x, _) in enumerate(order)}
@@ -366,7 +369,11 @@ def _bit_permutations() -> tuple[tuple[int, ...], ...]:
 def automorphism_chain(system: TripleSystem) -> Chain:
     """Aut(system) as (base, transversals): the base points of :func:`closure`
     and, per base point b_i and point y, the kernel's first map fixing the
-    earlier base points and sending b_i to y, if any (the identity if y = b_i)."""
+    earlier base points and sending b_i to y, if any (the identity if y = b_i).
+    |Aut| is the product of the orbit lengths, by induction down the base: the
+    search is exhaustive, so an automorphism g fixing base[:i] sends base[i]
+    where exactly one u_i in transversals[i] does, and u_i^-1 g fixes
+    base[:i + 1]; one fixing the whole base fixes its closure, every point."""
     kernel, table = _isomorphism_kernel(system, False, None), system.third_table
     base = tuple(x for x, pair in closure(system, range(system.v)) if pair is None)
     fixed = [[(a,) for a in base[:i]] for i in range(len(base))]
@@ -374,16 +381,14 @@ def automorphism_chain(system: TripleSystem) -> Chain:
     return base, tuple(tuple(map(_unchecked, filter(None, level))) for level in maps)
 
 
+def automorphism_images(system: TripleSystem) -> list[tuple[int, ...]]:
+    """Every automorphism's image tuple, sorted, from one kernel search."""
+    return list(_isomorphism_kernel(system, False, None)(system.third_table))
+
+
 def automorphism_group(system: TripleSystem) -> PermGroup:
-    """Aut(system), listed from :func:`automorphism_chain` as the products
-    u_0 * u_1 * ... * u_{k-1}, u_i in transversals[i], with no closure check.
-    The products are automorphisms, as the u_i are.  They are pairwise
-    distinct and exhaust Aut, by induction down the base: the kernel search
-    is exhaustive, so an automorphism g fixing base[:i] sends base[i] where
-    exactly one u_i does, and u_i^-1 g fixes base[:i + 1].  An automorphism
-    fixing the whole base fixes its closure, every point, so is the
-    identity; and |Aut| is the product of the orbit lengths."""
-    return group_from_chain(system.v, automorphism_chain(system)[1])
+    """Aut(system), listed by one kernel search, with no closure check."""
+    return PermGroup(system.v, tuple(map(_unchecked, automorphism_images(system))))
 
 
 def common_automorphism_group(s1: TripleSystem, s2: TripleSystem) -> PermGroup:

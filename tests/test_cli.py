@@ -379,8 +379,10 @@ def test_aut_lists_elements_up_to_the_limit(pg32, tmp_path, capsys):
 @pytest.mark.parametrize("name", ["b1", "ag23", "sts13", "sts61", "pg32",
                                   *(f"b1-{seed}" for seed in range(10))])
 def test_aut_lists_the_automorphism_group(request, tmp_path, capsys, name):
-    # the JSON elements are the image tuples of automorphism_group, in its
-    # order, and of the kernel's full search, which forms no product
+    # the JSON elements, as the kernel's full search yields them, are the
+    # sorted group; so is the closure of the chain's transversal elements,
+    # one per coset, and at v = 7 the brute-force sweep, which shares no code
+    # with the kernel; and the chain's order counts the listing
     if name == "sts13":
         system = steiner.cyclic_sts13()
     elif name.startswith("b1-"):
@@ -393,9 +395,17 @@ def test_aut_lists_the_automorphism_group(request, tmp_path, capsys, name):
     path.write_text(json.dumps(system.to_json()))
     code, out, _ = run(capsys, "aut", "--design", str(path), "--format", "json")
     assert code == 0
-    elements = json.loads(out)["elements"]
+    data = json.loads(out)
+    elements = data["elements"]
+    assert data["order"] == len(elements)
     assert elements == [list(p.images) for p in steiner.automorphism_group(system)]
     assert elements == [list(p.images) for p in steiner.isomorphisms(system, system)]
+    _, transversals = steiner.automorphism_chain(system)
+    closure = perms.generate_group(system.v, [u for t in transversals for u in t])
+    assert elements == [list(p.images) for p in closure]
+    if system.v == 7:
+        oracle = steiner.isomorphisms_bruteforce(system, system)
+        assert elements == [list(p.images) for p in oracle]
 
 
 def test_aut_builds_a_perm_per_transversal_element_only(monkeypatch, capsys):

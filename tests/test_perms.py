@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import permutations
 from operator import itemgetter
 
@@ -13,11 +14,9 @@ from fano21.perms import (
     PermGroup,
     affine_group,
     affine_perm,
-    chain_images,
     classify_order21,
     compose,
     generate_group,
-    group_from_chain,
     group_from_elements,
     stabilizer,
 )
@@ -339,17 +338,15 @@ def test_color_group_is_the_stabilizer_of_both_classes():
 def test_groups_reject_a_repeated_element(b1):
     with pytest.raises(ValueError, match=r"element \(0, 1, 2, 3, 4, 5, 6\) is listed more"):
         PermGroup(7, (E7, E7))
-    # two transversal elements for one coset list each product twice
-    _, (first, *rest) = steiner.automorphism_chain(b1)
-    with pytest.raises(ValueError, match="is listed more than once"):
-        group_from_chain(7, [first + first[-1:], *rest])
-    with pytest.raises(ValueError, match="is listed more than once"):
-        chain_images(7, [first, *rest[:-1], rest[-1] + rest[-1][:1]])
-    # the identity is a product of identities only
+    group = steiner.automorphism_group(b1).elements
+    with pytest.raises(ValueError, match=re.escape(f"element {group[-1].images} is listed more")):
+        PermGroup(7, group + group[-1:])
     with pytest.raises(ValueError, match="does not contain the identity"):
-        chain_images(7, [[u for u in first if u != E7], *rest])
+        PermGroup(7, group[1:])
     with pytest.raises(DegreeMismatch, match="mixed degrees"):
-        chain_images(7, [[E7, Perm(tuple(range(6)))]])
-    # a later level of a higher degree is caught before its itemgetter runs
+        PermGroup(7, (E7, Perm(tuple(range(6)))))
+    # the checks run in this order: degrees, repeats, the identity
     with pytest.raises(DegreeMismatch, match="mixed degrees"):
-        chain_images(7, [first, *rest, [Perm(tuple(range(8)))]])
+        PermGroup(7, (LAMBDA2, LAMBDA2, Perm(tuple(range(8)))))
+    with pytest.raises(ValueError, match="is listed more than once"):
+        PermGroup(7, (LAMBDA2, LAMBDA2))

@@ -96,7 +96,6 @@ NOT_RUN = {
     "perms.group_from_elements": "proves a set closed under composition, the oracle for a group "
                                  "the library lists; the benchmark traces it",
     "perms._closure": "the closure that generate_group and group_from_elements run",
-    "steiner.map_sts": "relabels a system, for the isomorphism and relabelling tests",
     "steiner.TripleSystem.block_through": "the benchmark traces it by name",
     "embed.embedding_isomorphisms": "lists every map with its flag, the oracle base group of the "
                                     "colour group; the benchmark traces it by name",
@@ -166,8 +165,9 @@ def test_every_definition_has_a_reader():
 
 
 def test_only_steiner_reads_the_isomorphism_kernel():
-    # other modules search through isomorphisms, is_isomorphic or
-    # automorphism_chain, one boundary at which to count the kernel's work
+    # other modules search through isomorphisms, is_isomorphic,
+    # automorphism_images or automorphism_chain, one boundary at which to
+    # count the kernel's work
     assert set(library_readers("_isomorphism_kernel")) <= {"steiner.py"}
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fano21 import steiner
+from fano21 import orient, steiner
 from fano21.kirkman import sts15_61
 from fano21.perms import (
     Perm,
@@ -226,6 +226,24 @@ def test_isomorphisms_onto_relabellings_are_the_coset(ag23, pg32, data):
         target = map_sts(tau, system)
         coset = sorted(compose(tau, g) for g in isomorphisms(system, system))
         assert isomorphisms(system, target) == coset
+
+
+def test_the_kernel_yields_the_isomorphisms_sorted(all_planes, ag23, sts61, pg32):
+    # isomorphisms sorts nothing: on the 900 ordered pairs of labelled Fano
+    # planes, each plane's 8 arc sets and 8 mates, and relabellings of larger
+    # systems, the kernel's own order is the sorted one
+    calls = [(p, q, {}) for p in all_planes for q in all_planes]
+    for plane in all_planes:
+        calls += [(plane, plane, {"arcs": o.arcs}) for o in orient.all_orientations(plane)]
+        calls += [(plane, plane, {"mate": m}) for m in orthogonal_mates(plane)]
+    rng = random.Random(5)
+    for system in (ag23, cyclic_sts13(), sts61, pg32):
+        target = map_sts(Perm(tuple(rng.sample(range(system.v), system.v))), system)
+        calls += [(system, target, {}), (target, system, {}), (target, target, {})]
+    for s1, s2, structures in calls:
+        maps = isomorphisms(s1, s2, **structures)
+        assert maps and maps == sorted(maps)
+    assert len(calls) == 900 + 30 * 16 + 4 * 3
 
 
 def test_every_search_from_a_system_shares_one_kernel(b1, b2):
