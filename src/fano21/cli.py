@@ -191,13 +191,19 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_aut(args: argparse.Namespace) -> int:
     design = _input_from_args(args, "design")
-    base, transversals = steiner.automorphism_chain(design)
-    order, lengths = math.prod(map(len, transversals)), [len(t) for t in transversals]
+    # |Aut| <= the bound, so at or below the limit the listing alone gives the
+    # order; above it the chain's order decides whether to list
+    order = 0
+    if steiner.automorphism_bound(design) > AUT_LIST_LIMIT:
+        base, transversals = steiner.automorphism_chain(design)
+        order = math.prod(map(len, transversals))
     # the elements as image tuples; above the limit, the generators as Perms
     if order <= AUT_LIST_LIMIT:
         elements, generators = steiner.automorphism_images(design), None
+        order = len(elements)
     else:
         elements, generators = None, [u for b, t in zip(base, transversals) for u in t if u(b) != b]
+        lengths = [len(t) for t in transversals]
     tag = classify_order21(PermGroup(design.v, tuple(map(_unchecked, elements)))) if order == 21 else None
     if args.format == "json":
         out = {"order": order, "classification": tag, "elements": elements}

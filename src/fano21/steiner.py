@@ -366,6 +366,22 @@ def _bit_permutations() -> tuple[tuple[int, ...], ...]:
     return tuple(permutations((1, 2, 4, 8, 16, 32, 64)))
 
 
+def automorphism_bound(system: TripleSystem) -> int:
+    """An upper bound on |Aut(system)| read from the base alone, with no search:
+    the product over the base points b_i of v - c_i, where c_i is the size of
+    C_i, the closure of b_0..b_{i-1}, which is the position of b_i in
+    :func:`closure` order.  An automorphism g maps C_i onto the closure of
+    g(b_0)..g(b_{i-1}), a set of c_i points, and b_i lies outside C_i, so g(b_i)
+    lies outside that set: given the earlier base images, at most v - c_i
+    choices.  The base images fix g, as they fix the image of every point of
+    their closure, which is every point.  So |Aut| <= the bound."""
+    bound = 1
+    for c, (_, pair) in enumerate(closure(system, range(system.v))):
+        if pair is None:
+            bound *= system.v - c
+    return bound
+
+
 def automorphism_chain(system: TripleSystem) -> Chain:
     """Aut(system) as (base, transversals): the base points of :func:`closure`
     and, per base point b_i and point y, the kernel's first map fixing the
@@ -373,7 +389,9 @@ def automorphism_chain(system: TripleSystem) -> Chain:
     |Aut| is the product of the orbit lengths, by induction down the base: the
     search is exhaustive, so an automorphism g fixing base[:i] sends base[i]
     where exactly one u_i in transversals[i] does, and u_i^-1 g fixes
-    base[:i + 1]; one fixing the whole base fixes its closure, every point."""
+    base[:i + 1]; one fixing the whole base fixes its closure, every point.
+    ``aut`` builds it only for a group whose :func:`automorphism_bound` is above
+    its listing limit, for the order and, above the limit, the generators."""
     kernel, table = _isomorphism_kernel(system, False, None), system.third_table
     base = tuple(x for x, pair in closure(system, range(system.v)) if pair is None)
     fixed = [[(a,) for a in base[:i]] for i in range(len(base))]

@@ -35,6 +35,22 @@ def sts61():
     return kirkman.sts15_61()
 
 
+# cyclic systems whose automorphism group is Z_v: STS(19), whose automorphism
+# bound 19 * 18 * 16 = 5,472 is at or below aut's listing limit, and STS(31),
+# whose bound 31 * 30 * 28 = 26,040 is above it
+STS31_BASE_BLOCKS = [(0, 1, 3), (0, 4, 11), (0, 5, 15), (0, 6, 18), (0, 8, 17)]
+
+
+@pytest.fixture(scope="session")
+def sts19():
+    return steiner.cyclic_sts(19, [(0, 1, 4), (0, 2, 9), (0, 5, 11)])
+
+
+@pytest.fixture(scope="session")
+def sts31():
+    return steiner.cyclic_sts(31, STS31_BASE_BLOCKS)
+
+
 @pytest.fixture(scope="session")
 def ag23():
     # the affine plane AG(2,3), the unique STS(9): rows, columns and

@@ -376,13 +376,15 @@ def test_aut_lists_elements_up_to_the_limit(pg32, tmp_path, capsys):
     assert data["order"] == len(data["elements"]) == AUT_LIST_LIMIT == 20160
 
 
-@pytest.mark.parametrize("name", ["b1", "ag23", "sts13", "sts61", "pg32",
+@pytest.mark.parametrize("name", ["b1", "ag23", "sts13", "sts61", "pg32", "sts19", "sts31",
                                   *(f"b1-{seed}" for seed in range(10))])
 def test_aut_lists_the_automorphism_group(request, tmp_path, capsys, name):
     # the JSON elements, as the kernel's full search yields them, are the
     # sorted group; so is the closure of the chain's transversal elements,
     # one per coset, and at v = 7 the brute-force sweep, which shares no code
-    # with the kernel; and the chain's order counts the listing
+    # with the kernel; and the order counts the listing, whether aut took it
+    # from the listing (every bound but STS(31)'s is at or below the limit)
+    # or from the chain
     if name == "sts13":
         system = steiner.cyclic_sts13()
     elif name.startswith("b1-"):
@@ -408,16 +410,27 @@ def test_aut_lists_the_automorphism_group(request, tmp_path, capsys, name):
         assert elements == [list(p.images) for p in oracle]
 
 
-def test_aut_builds_a_perm_per_transversal_element_only(monkeypatch, capsys):
-    # b1's chain has 7 + 6 + 4 transversal elements; the 168 listed
-    # elements are image tuples, with no Perm built for them
-    built = []
+def test_aut_builds_a_perm_per_transversal_element_only(monkeypatch, tmp_path, capsys, sts31):
+    # b1's bound, 168, is at or below the limit: one kernel search lists the
+    # group as image tuples, with no Perm built.  STS(31)'s bound, 26,040, is
+    # above it: the chain runs the kernel once per base point (0, 1, 2) and
+    # image, builds a Perm per transversal element (31 + 1 + 1), finds the
+    # order 31 and lists the group in one more search
+    built, runs = [], []
     new_object, post_init = perms._new_object, Perm.__post_init__
     monkeypatch.setattr(perms, "_new_object", lambda cls: built.append(cls) or new_object(cls))
     monkeypatch.setattr(Perm, "__post_init__", lambda p: built.append(Perm) or post_init(p))
-    code, out, _ = run(capsys, "aut", "--builtin", "b1", "--format", "json")
-    assert code == 0 and len(json.loads(out)["elements"]) == 168
-    assert built.count(Perm) == 17
+    kernel = steiner._isomorphism_kernel
+    monkeypatch.setattr(steiner, "_isomorphism_kernel",
+                        lambda *key: lambda *tables: runs.append(key) or kernel(*key)(*tables))
+    path = tmp_path / "sts31.json"
+    path.write_text(json.dumps(sts31.to_json()))
+    for source, order, perms_built, kernel_runs in [(("--builtin", "b1"), 168, 0, 1),
+                                                   (("--design", str(path)), 31, 33, 3 * 31 + 1)]:
+        del built[:], runs[:]
+        code, out, _ = run(capsys, "aut", *source, "--format", "json")
+        assert code == 0 and len(json.loads(out)["elements"]) == order
+        assert (built.count(Perm), len(runs)) == (perms_built, kernel_runs)
 
 
 def test_aut_of_inadmissible_order_exits_1(tmp_path, capsys):

@@ -59,21 +59,27 @@ def test_only_perms_and_kirkman_read_the_stabilizer():
     assert set(library_readers("stabilizer")) <= {"perms.py", "kirkman.py"}
 
 
-# Every command on every builtin (the CLI golden runs) and some operations of
-# each in-process benchmark workload, in a fresh process, so that no cache
-# is warm, under cProfile: prints the (file name, first line) of each
-# library function that ran.
+# Every command on every builtin (the CLI golden runs), aut on a cyclic
+# STS(31), whose automorphism bound is above the listing limit, so that aut
+# builds the chain, and some operations of each in-process benchmark
+# workload, in a fresh process, so that no cache is warm, under cProfile:
+# prints the (file name, first line) of each library function that ran.
 CENSUS = """
-import cProfile, sys, tempfile, types
+import contextlib, cProfile, io, json, sys, tempfile, types
 from pathlib import Path
 
 profiler = cProfile.Profile()
 profiler.enable()
 import fano21.cli, workloads
+from conftest import STS31_BASE_BLOCKS
 from test_cli import golden_runs
 
 with tempfile.TemporaryDirectory() as directory:
     golden_runs(directory)
+    sts31 = Path(directory) / "sts31.json"
+    sts31.write_text(json.dumps(fano21.steiner.cyclic_sts(31, STS31_BASE_BLOCKS).to_json()))
+    with contextlib.redirect_stdout(io.StringIO()):
+        fano21.cli.main(["aut", "--design", str(sts31)])
     for workload, count in (workloads.StsAut, 3), (workloads.FanoMaps, 24):
         runner = workload(1, Path(directory), fano21)
         for op in map(runner.prepare, range(count)):

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -26,6 +27,7 @@ from fano21.steiner import (
     StsError,
     all_fano_planes,
     are_orthogonal,
+    automorphism_bound,
     automorphism_chain,
     automorphism_group,
     closure,
@@ -164,6 +166,30 @@ def test_automorphism_chain(request, name, base, lengths):
         for u in transversal:
             assert all(u(a) == a for a in base[:i])
             assert {tuple(sorted(map(u, block))) for block in system.blocks} == blocks
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("sts1", 1), ("sts3", 6), ("b1", 168), ("ag23", 432), ("sts13", 1_560),
+    ("sts61", 20_160), ("pg32", 20_160), ("pg42", 9_999_360), ("ag33", 303_264),
+    ("sts31", 26_040),
+])
+def test_automorphism_bound(request, name, bound):
+    # the bound holds on each system and on seeded relabellings, whose base
+    # points, and so closure sizes and bound, may differ; it is the order on
+    # the projective and affine spaces
+    system = {"sts1": lambda: validate_sts(1, []), "sts3": lambda: validate_sts(3, [(0, 1, 2)]),
+              "sts13": cyclic_sts13}.get(name, lambda: request.getfixturevalue(name))()
+    assert automorphism_bound(system) == bound
+    rng = random.Random(name)
+    sigmas = [tuple(range(system.v))] + [tuple(rng.sample(range(system.v), system.v))
+                                         for _ in range(10)]
+    orders = []
+    for sigma in sigmas:
+        relabelled = map_sts(Perm(sigma), system)
+        orders.append(math.prod(map(len, automorphism_chain(relabelled)[1])))
+        assert automorphism_bound(relabelled) >= orders[-1]
+    if name in ("b1", "ag23", "pg32", "pg42", "ag33"):
+        assert orders[0] == bound
 
 
 @pytest.mark.parametrize("name", ["b1", "ag23", "sts13", "sts61", "pg32"])
