@@ -275,7 +275,7 @@ def check_octonions() -> dict:
                if octonion.is_algebra_automorphism(p, table)]
     autos = octonion.algebra_automorphism_perms(table)
     _require(len(autos) == 21, automorphisms=len(autos))
-    _require(autos == defined)
+    _require(autos == defined, automorphisms=len(autos), defined=len(defined))
     _require(orient.oriented_automorphism_group(qr).elements == tuple(defined))
     return {"automorphisms": 21, "basis_triples": 512, "basis_quadruples": 4096}
 

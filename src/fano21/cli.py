@@ -7,7 +7,9 @@ terminal and is suppressed by the NO_COLOR environment variable.  The
 ``--format json`` output of verify-all, enumerate and faces has exactly
 the bytes that the stdlib's ``json.dumps`` writes with ``indent=2``; a
 small writer produces it, since the stdlib encodes indented JSON in pure
-Python.
+Python.  It writes a list of ints with one join, and a list of non-empty
+int rows of one length (blocks, arcs, circuits, faces) with one row
+template; keys and other scalars go to the stdlib's C encoder.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import json
 import math
 import os
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import certificates, embed, kirkman, octonion, orient, steiner
@@ -95,16 +99,25 @@ def _block_str(block: Sequence[int], v: int) -> str:
 
 def _indented(obj, newline: str = "\n") -> str:
     """The bytes of json.dumps with indent=2, for a JSON value whose objects
-    have str keys: containers are laid out here, and every scalar and empty
-    container is encoded by the stdlib's C encoder."""
+    have str keys: containers are laid out here, and every key, scalar and
+    empty container is encoded by the stdlib's C encoder.  A list of ints is
+    one join, and a list of non-empty int rows of one length (lists or
+    tuples) is one %d row template mapped over the rows; a bool, which
+    prints as true, takes neither path."""
     inner = newline + "  "
     comma = "," + inner
     if isinstance(obj, (list, tuple)) and obj:
-        if all(type(x) is int for x in obj):  # not bool, which prints as true
+        types = set(map(type, obj))
+        if types == {int}:
             return "[" + inner + comma.join(map(int.__repr__, obj)) + newline + "]"
+        if (types <= {list, tuple} and len(widths := set(map(len, obj))) == 1
+                and set(map(type, chain.from_iterable(obj))) == {int}):  # ints only, so no row is empty
+            cell = inner + "  "
+            row = "[" + cell + ("," + cell).join(["%d"] * widths.pop()) + inner + "]"
+            return "[" + inner + comma.join(map(row.__mod__, map(tuple, obj))) + newline + "]"
         return "[" + inner + comma.join([_indented(x, inner) for x in obj]) + newline + "]"
     if isinstance(obj, dict) and obj:
-        items = [json.dumps(k) + ": " + _indented(v, inner) for k, v in obj.items()]
+        items = [encode_basestring_ascii(k) + ": " + _indented(v, inner) for k, v in obj.items()]
         return "{" + inner + comma.join(items) + newline + "}"
     return json.dumps(obj)
 

@@ -309,15 +309,25 @@ def _candidate_maps(r1: RotationSystem, r2: RotationSystem) -> Iterator[Perm]:
 
 def color_automorphism_group(rotation: RotationSystem) -> PermGroup:
     """Embedding automorphisms fixing both color classes, each class the
-    set of its faces' vertex sets; a stabilizer, so no closure check.  One
-    class decides: an automorphism carries faces to faces and adjacent ones
-    to adjacent ones, so it maps the 2-coloring of the connected face graph
-    to a proper one, which keeps both classes or swaps them.  Each candidate
-    map is tested on class A first, and only a map that keeps it is checked
-    as an automorphism."""
-    class_a = {frozenset(f.walk) for f in two_coloring(rotation).class_a}
+    set of its faces' vertex sets; a stabilizer, so no closure check.  An
+    automorphism carries faces to faces and adjacent ones to adjacent ones,
+    so it maps the 2-coloring of the connected face graph to a proper one,
+    which keeps both classes or swaps them.  So for a map that
+    :func:`isomorphism_flag` accepts, one class-A set outside class B
+    decides: keeping the classes sends it into class A, and swapping them
+    sends it into class B outside class A, since a swap maps the sets the
+    classes share onto themselves.  Where every class-A set is a class-B
+    one, a swap makes the classes equal and is kept by any face.  The face
+    tested, before the flag, is the last such set in sorted order.  In a
+    Fano plane of faces it avoids vertex 0; over the 240 triangular
+    rotations of K7 it keeps 21 of the 84 candidates on 168, where any
+    face through 0 keeps 42."""
+    coloring = two_coloring(rotation)
+    class_a = {frozenset(f.walk) for f in coloring.class_a}
+    class_b = {frozenset(f.walk) for f in coloring.class_b}
+    face = max(class_a - class_b or class_a, key=sorted)
     keep = [p for p in _candidate_maps(rotation, rotation)
-            if all(frozenset(map(p.images.__getitem__, f)) in class_a for f in class_a)
+            if frozenset(map(p.images.__getitem__, face)) in class_a
             and isomorphism_flag(p, rotation, rotation)]
     return PermGroup(rotation.n, tuple(keep))
 

@@ -217,17 +217,26 @@ def is_algebra_automorphism(sigma: Perm, table: Table) -> bool:
 
 def algebra_automorphism_perms(table: Table) -> list[Perm]:
     """All basis permutations (as degree-7 point permutations) that are
-    algebra automorphisms, sorted.  The table's Fano plane has the lines
-    {e_i, e_j, e_k} with e_i e_j = +-e_k, and an automorphism permuting the
-    basis carries lines to lines and keeps every sign, so the candidates are
-    the collineations that carry the pairs (x, y) with e_x e_y = +e_k onto
-    themselves, one kernel search; :func:`is_algebra_automorphism` decides."""
+    algebra automorphisms, sorted; the table may be given as lists.  The
+    table's Fano plane has the lines {e_i, e_j, e_k} with e_i e_j = +-e_k,
+    and an automorphism permuting the basis carries lines to lines and keeps
+    every sign, so the candidates are the collineations that carry the pairs
+    (x, y) with e_x e_y = +e_k onto themselves, one kernel search.  Each of
+    them is an automorphism, with no check per map: it preserves every entry
+    off the diagonal, the third point of the line and, as each sign there is
+    +1 or -1, the sign; and it preserves the diagonal once every square is
+    -1, which is checked here, as are the signs, naming an entry that fails."""
     units = range(1, 8)
+    for i, j in product(units, repeat=2):
+        entry = table[i - 1][j - 1]
+        if i == j and entry not in ((-1, 0), [-1, 0]):
+            raise ValueError(f"table entry e{i}e{j} = {entry!r} is not (-1, 0)")
+        if i != j and entry[0] not in (1, -1):
+            raise ValueError(f"table entry e{i}e{j} = {entry!r} is not (+-1, k)")
     pairs = [(i % 7, j % 7, table[i - 1][j - 1]) for i in units for j in units if i != j]
     plane = validate_sts(7, {tuple(sorted((x, y, unit_to_point(k)))) for x, y, (_, k) in pairs})
     plus = {(x, y) for x, y, (sign, _) in pairs if sign == 1}
-    candidates = isomorphisms(plane, plane, arcs=plus)
-    return [p for p in candidates if is_algebra_automorphism(p, table)]
+    return isomorphisms(plane, plane, arcs=plus)
 
 
 def table_to_json(table: Table) -> dict:

@@ -130,7 +130,7 @@ def test_certificate_fails_when_an_automorphism_is_rejected(monkeypatch):
     )
     report = run_check("octonion-f21")
     assert report.status == "FAIL"
-    assert report.witness == {"automorphisms": 20}
+    assert report.witness == {"automorphisms": 21, "defined": 20}
 
 
 def test_certificate_fails_when_a_product_is_wrong(monkeypatch):

@@ -107,15 +107,25 @@ def test_verify_all_json(capsys):
 
 
 # JSON values with str keys, weighted towards what the writer treats
-# apart: lists of ints, bools among ints, floats the C encoder spells out,
-# escaped text and empty containers
+# apart: lists of ints, rows of ints of one width (lists and tuples), short
+# rows of ints and bools of mixed widths, bools among ints, floats the C
+# encoder spells out, escaped text and empty containers
+_INTS = st.integers() | st.integers(min_value=2 ** 64) | st.integers(max_value=-2 ** 64)
+
+
+def _rows(width):
+    row = st.lists(_INTS, min_size=width, max_size=width)
+    return st.lists(row | row.map(tuple))
+
+
 _JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(min_value=2 ** 64)
-    | st.integers(max_value=-2 ** 64) | st.floats()
+    st.none() | st.booleans() | _INTS | st.floats()
     | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]) | st.text()
     | st.text(alphabet='"\\/\x00\x08\x1f\x7f\u00e9\u2028\u2603\U0001f600'),
     lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
-    | st.lists(st.integers() | st.booleans()) | st.dictionaries(st.text(), inner),
+    | st.lists(st.integers() | st.booleans()) | st.integers(0, 3).flatmap(_rows)
+    | st.lists(st.lists(st.integers() | st.booleans(), max_size=2))
+    | st.dictionaries(st.text(), inner),
 )
 
 
@@ -123,6 +133,24 @@ _JSON_VALUES = st.recursive(
 @given(value=_JSON_VALUES)
 def test_writer_prints_the_bytes_of_the_stdlib_encoder(value):
     assert _indented(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    [[1, 2, 3], [4, 5, 6]],
+    [(1, 2), (3, 4), (5, 6)],
+    [(1, 2), [3, 4]],
+    [[1, True], [2, 3]],
+    [[1, 2], [3, 4, 5]],
+    [[], []],
+    [[1, 2], []],
+    [[7], [8], [9]],
+    [[2 ** 70, -1], [-(2 ** 70), 0], [-5, 2 ** 70 - 1]],
+    {"rows": [[0, 1], [1, 0]], "row": [[False]]},
+], ids=["lists", "tuples", "mixed", "bool", "ragged", "empty", "one-empty", "width-1",
+        "huge-and-negative", "in-an-object"])
+def test_writer_lays_out_int_rows_as_the_stdlib_does(value):
+    assert _indented(value) == json.dumps(value, indent=2)
+    assert _indented([value]) == json.dumps([value], indent=2)
 
 
 def json_output(capsys, *argv):

@@ -256,6 +256,26 @@ def test_color_automorphism_group(classical, b1, b2):
     assert swap not in group.elements  # it exchanges the color classes
 
 
+@pytest.mark.parametrize("seed, flags", [(None, 21), (5, 42)], ids=["classical", "relabelled"])
+def test_color_group_tests_one_face_per_candidate(monkeypatch, classical, seed, flags):
+    # deterministic work counts: the 14 faces' vertex sets, then one face
+    # image per candidate, 84 on K7; the flag runs on each candidate whose
+    # tested face lands in class A, 21 on the classical rotation and 42 on
+    # this relabelling (the tested face keeps 42 on 72 of the 240 triangular
+    # rotations)
+    rotation = classical
+    if seed is not None:
+        images = list(range(7))
+        Random(seed).shuffle(images)
+        rotation = _relabel(classical, Perm(tuple(images)))
+    vertex_sets, flagged, flag = [], [], embed.isomorphism_flag
+    monkeypatch.setattr(embed, "frozenset", lambda it: vertex_sets.append(1) or frozenset(it),
+                        raising=False)
+    monkeypatch.setattr(embed, "isomorphism_flag", lambda *a: flagged.append(1) or flag(*a))
+    assert color_automorphism_group(rotation).order == 21
+    assert (len(vertex_sets), len(flagged)) == (14 + 84, flags)
+
+
 def test_coloring_orientation_bridge(classical, qr):
     # the quadratic-residue arcs run one way around every class-A face
     # and the other way around every class-B face

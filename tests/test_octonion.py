@@ -447,6 +447,19 @@ def test_automorphisms_of_a_table_of_lists(qr):
     assert [p for p in perms if is_algebra_automorphism(p, as_lists)] == perms
 
 
+@pytest.mark.parametrize("i, j, entry", [(1, 1, (1, 0)), (3, 3, (1, 5)), (2, 3, (2, 5))],
+                         ids=["e1e1-is-plus-one", "e3e3-is-e5", "sign-two"])
+def test_automorphisms_reject_a_wrong_square_or_sign(i, j, entry):
+    # the kernel proves neither the squares nor that each sign is +-1, so a
+    # table that fails either is refused, naming the entry, and not searched
+    rows = [list(row) for row in cartan_table()]
+    rows[i - 1][j - 1] = entry
+    message = rf"table entry e{i}e{j} = .{entry[0]}, {entry[1]}. is not"
+    for table in tuple(map(tuple, rows)), [[list(e) for e in row] for row in rows]:
+        with pytest.raises(ValueError, match=message):
+            algebra_automorphism_perms(table)
+
+
 def test_product_kernel_is_not_built_at_import():
     env = dict(os.environ, PYTHONPATH=str(Path(fano21.__file__).parents[1]))
     probe = ("import fano21.cli, fano21.octonion as o; "
