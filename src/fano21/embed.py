@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .perms import Perm, PermGroup, _unchecked
@@ -76,17 +77,27 @@ class RotationSystem:
         on first use and kept per rotation.  The darts are taken in order, and
         a face is traced from the first of its darts reached, its least, until
         the walk returns there.  A face holds each dart once, so that walk is
-        its least rotation, and the faces come out sorted."""
-        succ, seen, faces = self.succ, set(), []
-        for x, y in permutations(range(self.n), 2):
-            walk = []
-            while (x, y) not in seen:
-                seen.add((x, y))
+        its least rotation, and the faces come out sorted.  The trace marks
+        each dart with its face's index and keeps these as :attr:`face_index`."""
+        n, succ, faces = self.n, self.succ, []
+        index = [[-1] * n for _ in range(n)]
+        for x, y in permutations(range(n), 2):
+            walk, i = [], len(faces)
+            while index[x][y] < 0:
+                index[x][y] = i
                 walk.append(x)
                 x, y = y, succ[y][x]
             if walk:
                 faces.append(Face(tuple(walk)))
+        self.__dict__["face_index"] = tuple(map(tuple, index))  # the cached_property's slot
         return tuple(faces)
+
+    @cached_property
+    def face_index(self) -> tuple[tuple[int, ...], ...]:
+        """face_index[x][y] is the index in :attr:`faces` of the face holding
+        the dart (x, y), -1 where x == y; the trace of the faces sets it."""
+        self.faces  # the trace sets it
+        return self.__dict__["face_index"]
 
 
 def validate_rotation(n: int, rotation: Mapping[int, Sequence]) -> RotationSystem:
@@ -240,16 +251,18 @@ def two_coloring(rotation: RotationSystem) -> ColoredFaceSet:
     The class containing the face with the lexicographically smallest
     vertex set is class A.  One search reaches all faces: those at a vertex
     are joined through its rotation, those at the ends of an edge across it.
+    The face across the dart (a, b) holds (b, a); the trace of the faces
+    recorded its index (:attr:`RotationSystem.face_index`), so no dart list
+    is built.
     """
-    faces = rotation.faces
-    face_of = {dart: i for i, f in enumerate(faces) for dart in f.edges()}
+    face_index, faces = rotation.face_index, rotation.faces
     color = {0: 0}
     queue = [0]
     while queue:
         i = queue.pop()
-        # the face across edge {a, b} is the one holding the dart (b, a)
-        for (a, b) in faces[i].edges():
-            j = face_of[b, a]
+        walk = faces[i].walk
+        for a, b in zip(walk, walk[1:] + walk[:1]):
+            j = face_index[b][a]
             if j not in color:
                 color[j] = 1 - color[i]
                 queue.append(j)
@@ -282,29 +295,34 @@ def isomorphism_flag(sigma: Perm, r1: RotationSystem, r2: RotationSystem) -> str
 def embedding_isomorphisms(r1: RotationSystem, r2: RotationSystem) -> list[tuple[Perm, str]]:
     """All vertex maps carrying r1 onto r2 with their flags, sorted; on K2 and
     K3, where a map both preserves and reverses, it is reported as Preserving."""
-    return [(p, flag) for p in _candidate_maps(r1, r2) if (flag := isomorphism_flag(p, r1, r2))]
+    return [(p, flag) for p in map(_unchecked, _candidate_maps(r1, r2))
+            if (flag := isomorphism_flag(p, r1, r2))]
 
 
-def _candidate_maps(r1: RotationSystem, r2: RotationSystem) -> Iterator[Perm]:
-    """The vertex maps that can carry r1 onto r2, in lexicographic order.
+def _candidate_maps(r1: RotationSystem, r2: RotationSystem) -> Iterator[tuple[int, ...]]:
+    """The image tuples of the vertex maps that can carry r1 onto r2, sorted.
 
     A map is fixed by its flag and the image (a, b) of the dart (0, 1):
     it carries the rotation at 0 in r1 onto the rotation at a in r2,
     walked from b forward (Preserving) or backward (Reversing).  So there
     are 2n(n-1) candidates, taken in the order of their image tuples, which
     start with a.  On K2 and K3 both walks give the same map, listed once.
+    Each is a bijection, 0 -> a and the neighbours of 0 onto those of a, so
+    callers wrap it unchecked.  A walk is one of 2(n-1) itemgetters on
+    (a, *cycle, *cycle), the cycle at a taken twice, built once per call:
+    the walk from a's i-th neighbour sends the point k places after 1
+    around 0 to the entry 1 + i + k (forward) or n + i - k (backward).
     """
     if r1.n != r2.n:
         raise RotationError(f"vertex counts differ: {r1.n} vs {r2.n}")
     around0 = r1.cycle_at(0)
     where = [around0.index(y) for y in range(1, r1.n)]  # y's place around 0
+    walks = [itemgetter(0, *map(start.__add__, where)) for start in range(1, r1.n)]
+    walks += [itemgetter(0, *map(start.__sub__, where)) for start in range(r1.n, 2 * r1.n - 1)]
     for a in range(r1.n):
         cycle = r2.cycle_at(a)
-        walks = [cycle[i:] + cycle[:i] for i in range(len(cycle))]
-        walks += [w[:1] + w[:0:-1] for w in walks]
-        for images in sorted({(a, *(w[k] for k in where)) for w in walks}):
-            # a bijection: 0 -> a, and the n - 1 neighbours of 0 onto those of a
-            yield _unchecked(images)
+        row = (a, *cycle, *cycle)
+        yield from sorted({walk(row) for walk in walks})
 
 
 def color_automorphism_group(rotation: RotationSystem) -> PermGroup:
@@ -325,11 +343,11 @@ def color_automorphism_group(rotation: RotationSystem) -> PermGroup:
     coloring = two_coloring(rotation)
     class_a = {frozenset(f.walk) for f in coloring.class_a}
     class_b = {frozenset(f.walk) for f in coloring.class_b}
-    face = max(class_a - class_b or class_a, key=sorted)
-    keep = [p for p in _candidate_maps(rotation, rotation)
-            if frozenset(map(p.images.__getitem__, face)) in class_a
-            and isomorphism_flag(p, rotation, rotation)]
-    return PermGroup(rotation.n, tuple(keep))
+    face = itemgetter(*max(class_a - class_b or class_a, key=sorted))
+    # a Perm only for the candidates that keep the tested face in class A
+    kept = (_unchecked(images) for images in _candidate_maps(rotation, rotation)
+            if frozenset(face(images)) in class_a)
+    return PermGroup(rotation.n, tuple(p for p in kept if isomorphism_flag(p, rotation, rotation)))
 
 
 def triangular_completions(rho0: Sequence[int]) -> list[RotationSystem]:
@@ -373,7 +391,7 @@ def classify_triangular(rotation: RotationSystem) -> tuple[Perm, str]:
     if not is_triangular(rotation):
         raise NotTriangular()
     classical = classical_rotation()
-    return next((p, flag) for p in _candidate_maps(rotation, classical)
+    return next((p, flag) for p in map(_unchecked, _candidate_maps(rotation, classical))
                 if (flag := isomorphism_flag(p, rotation, classical)))
 
 

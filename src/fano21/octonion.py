@@ -116,20 +116,29 @@ def _product(table: Table) -> Callable[[tuple, tuple], tuple]:
     precomputed signed index rows take 10-15 us; `multiply` went from 13 us
     (a double loop over the 64 pairs) to 3.8 us (timeit, Python 3.11, 2-vCPU
     Xeon).  The source holds only indices from range(8) and signs."""
-    if not (isinstance(table, tuple) and len(table) == 7
-            and all(isinstance(row, tuple) and len(row) == 7 for row in table)):
-        raise ValueError(f"a multiplication table needs 7 rows of 7 entries, got {table!r}")
+    _check_shape(table)
     terms = [["+a0*b0"]] + [[f"+a0*b{k}", f"+a{k}*b0"] for k in range(1, 8)]
     for i, row in enumerate(table, start=1):
         for j, entry in enumerate(row, start=1):
-            if not (isinstance(entry, tuple) and len(entry) == 2 and entry[0] in (1, -1)
-                    and type(entry[1]) is int and 0 <= entry[1] <= 7):
+            if not _is_signed_unit(entry):
                 raise ValueError(f"table entry e{i}e{j} = {entry!r} is not (+-1, k), k in 0..7")
             terms[entry[1]].append(f"{'-' if entry[0] < 0 else '+'}a{i}*b{j}")
     a, b = (", ".join(f"{x}{i}" for i in range(8)) for x in "ab")
     coords = ", ".join("".join(t).lstrip("+") for t in terms)
     exec(f"def product(a, b):\n {a} = a\n {b} = b\n return ({coords})", namespace := {})
     return namespace["product"]
+
+
+def _check_shape(table) -> None:
+    if not (isinstance(table, (tuple, list)) and len(table) == 7
+            and all(isinstance(row, (tuple, list)) and len(row) == 7 for row in table)):
+        raise ValueError(f"a multiplication table needs 7 rows of 7 entries, got {table!r}")
+
+
+def _is_signed_unit(entry, low: int = 0) -> bool:
+    """Is the entry a pair (+-1, k), k an int in low..7, as a tuple or a list?"""
+    return (isinstance(entry, (tuple, list)) and len(entry) == 2 and entry[0] in (1, -1)
+            and type(entry[1]) is int and low <= entry[1] <= 7)
 
 
 def _as_tuples(table) -> Table:
@@ -225,14 +234,17 @@ def algebra_automorphism_perms(table: Table) -> list[Perm]:
     them is an automorphism, with no check per map: it preserves every entry
     off the diagonal, the third point of the line and, as each sign there is
     +1 or -1, the sign; and it preserves the diagonal once every square is
-    -1, which is checked here, as are the signs, naming an entry that fails."""
+    -1, which is checked here, as are the shape and each entry off the diagonal,
+    (+-1, k) with k in 1..7; an error names the shape or the entry, in the
+    words of :func:`multiply`."""
+    _check_shape(table)
     units = range(1, 8)
     for i, j in product(units, repeat=2):
         entry = table[i - 1][j - 1]
         if i == j and entry not in ((-1, 0), [-1, 0]):
             raise ValueError(f"table entry e{i}e{j} = {entry!r} is not (-1, 0)")
-        if i != j and entry[0] not in (1, -1):
-            raise ValueError(f"table entry e{i}e{j} = {entry!r} is not (+-1, k)")
+        if i != j and not _is_signed_unit(entry, 1):
+            raise ValueError(f"table entry e{i}e{j} = {entry!r} is not (+-1, k), k in 1..7")
     pairs = [(i % 7, j % 7, table[i - 1][j - 1]) for i in units for j in units if i != j]
     plane = validate_sts(7, {tuple(sorted((x, y, unit_to_point(k)))) for x, y, (_, k) in pairs})
     plus = {(x, y) for x, y, (sign, _) in pairs if sign == 1}

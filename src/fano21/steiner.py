@@ -7,8 +7,8 @@ equality of canonical block lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -55,26 +55,17 @@ def canonical_block(block: Iterable[int]) -> Triple:
 
 @dataclass(frozen=True)
 class TripleSystem:
-    """An STS(v) in canonical form.  Build via :func:`validate_sts`."""
+    """An STS(v) in canonical form.  Build via :func:`validate_sts`, which
+    also fills the v x v third-point table: entry [x][y] is the third point
+    of the block through {x, y}, -1 on the diagonal.  The table is not part
+    of the value: equality, hash and repr read v and the blocks only."""
 
     v: int
     blocks: tuple[Triple, ...]
+    third_table: ThirdTable = field(compare=False, repr=False)
 
     def block_set(self) -> frozenset[Triple]:
         return frozenset(self.blocks)
-
-    @cached_property
-    def third_table(self) -> ThirdTable:
-        """The v x v third-point table: entry [x][y] is the third point of
-        the block through {x, y}, or -1 where no block covers the pair
-        (always on the diagonal).  Built on first use, kept per system."""
-        v = self.v
-        rows = [[-1] * v for _ in range(v)]
-        for (a, b, c) in reversed(self.blocks):  # the first block wins
-            rows[a][b] = rows[b][a] = c
-            rows[a][c] = rows[c][a] = b
-            rows[b][c] = rows[c][b] = a
-        return tuple(map(tuple, rows))
 
     def block_through(self, x: int, y: int) -> Triple:
         """The unique block containing the pair {x, y}."""
@@ -95,7 +86,12 @@ class TripleSystem:
 
 def validate_sts(v: int, blocks: Sequence[Iterable[int]]) -> TripleSystem:
     """Canonicalize and validate: v and every point are plain ints, v is
-    admissible (>= 1 and 1 or 3 mod 6), every pair in exactly one block."""
+    admissible (>= 1 and 1 or 3 mod 6), every pair in exactly one block.
+
+    One pass fills the system's third-point table; a pair whose entry is
+    already set is covered twice.  No pair is left uncovered: v(v-1)/6
+    blocks of 3 distinct points in range, no pair twice, cover 3 * v(v-1)/6 =
+    v(v-1)/2 distinct pairs, which is every pair."""
     if type(v) is not int:
         raise StsError(f"v={v!r} is not an integer")
     if v < 1 or v % 6 not in (1, 3):
@@ -110,18 +106,15 @@ def validate_sts(v: int, blocks: Sequence[Iterable[int]]) -> TripleSystem:
     canon = sorted(canonical_block(b) for b in blocks)
     if len(canon) != v * (v - 1) // 6:
         raise BadBlockCount(v, len(canon))
-    covered: set[tuple[int, int]] = set()
-    for b in canon:
-        for p in combinations(b, 2):
-            if max(b) >= v or min(b) < 0:
-                raise StsError(f"block {b} out of range for v={v}")
-            if p in covered:
-                raise PairCoveredTwice(p)
-            covered.add(p)
-    for p in combinations(range(v), 2):
-        if p not in covered:
-            raise PairUncovered(p)
-    return TripleSystem(v, tuple(canon))
+    rows = [[-1] * v for _ in range(v)]
+    for a, b, c in canon:
+        if a < 0 or c >= v:
+            raise StsError(f"block {(a, b, c)} out of range for v={v}")
+        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+            if rows[x][y] >= 0:
+                raise PairCoveredTwice((x, y))
+            rows[x][y] = rows[y][x] = z
+    return TripleSystem(v, tuple(canon), tuple(map(tuple, rows)))
 
 
 def sts_from_json(data: dict) -> TripleSystem:
@@ -461,7 +454,7 @@ def _fano_planes() -> tuple[TripleSystem, ...]:
     pairs = list(combinations(range(7), 2))
     triples = list(combinations(range(7), 3))
     covers = exact_covers(pairs, [combinations(t, 2) for t in triples])
-    planes = [TripleSystem(7, tuple(triples[i] for i in c)) for c in covers]
+    planes = [validate_sts(7, [triples[i] for i in c]) for c in covers]
     return tuple(sorted(planes, key=lambda s: s.blocks))
 
 

@@ -3,8 +3,9 @@ from itertools import combinations, permutations
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from fano21 import embed
+from fano21 import embed, perms
 from fano21.perms import Perm, affine_perm
 from fano21.steiner import common_automorphism_group
 from fano21.embed import (
@@ -262,18 +263,31 @@ def test_color_group_tests_one_face_per_candidate(monkeypatch, classical, seed, 
     # image per candidate, 84 on K7; the flag runs on each candidate whose
     # tested face lands in class A, 21 on the classical rotation and 42 on
     # this relabelling (the tested face keeps 42 on 72 of the 240 triangular
-    # rotations)
+    # rotations), and a Perm is built for those candidates only
     rotation = classical
     if seed is not None:
         images = list(range(7))
         Random(seed).shuffle(images)
         rotation = _relabel(classical, Perm(tuple(images)))
     vertex_sets, flagged, flag = [], [], embed.isomorphism_flag
+    built, new_object, post_init = [], perms._new_object, Perm.__post_init__
     monkeypatch.setattr(embed, "frozenset", lambda it: vertex_sets.append(1) or frozenset(it),
                         raising=False)
     monkeypatch.setattr(embed, "isomorphism_flag", lambda *a: flagged.append(1) or flag(*a))
+    monkeypatch.setattr(perms, "_new_object", lambda cls: built.append(cls) or new_object(cls))
+    monkeypatch.setattr(Perm, "__post_init__", lambda p: built.append(Perm) or post_init(p))
     assert color_automorphism_group(rotation).order == 21
-    assert (len(vertex_sets), len(flagged)) == (14 + 84, flags)
+    assert (len(vertex_sets), len(flagged), built.count(Perm)) == (14 + 84, flags, flags)
+
+
+def test_two_coloring_reads_the_dart_index_of_the_trace(monkeypatch, classical):
+    # deterministic work count: no Face.edges() list is built; the faces
+    # across a face's edges are read from the index its trace recorded
+    rotation = embed.RotationSystem(7, classical.succ)  # not traced yet
+    edges, calls = embed.Face.edges, []
+    monkeypatch.setattr(embed.Face, "edges", lambda face: calls.append(face) or edges(face))
+    coloring = two_coloring(rotation)
+    assert len(coloring.class_a) == len(coloring.class_b) == 7 and calls == []
 
 
 def test_coloring_orientation_bridge(classical, qr):
@@ -411,3 +425,86 @@ def test_dot_export(classical):
     assert dot.startswith("graph K7 {")
     assert dot.count("--") == 21
     assert dot.count("// face") == 14
+
+
+def _trace_by_dart_set(rotation):
+    # oracle: the faces traced with a set of the darts seen, and the index
+    # of the face holding each dart, as a dict built from Face.edges()
+    succ, seen, faces = rotation.succ, set(), []
+    for x, y in permutations(range(rotation.n), 2):
+        walk = []
+        while (x, y) not in seen:
+            seen.add((x, y))
+            walk.append(x)
+            x, y = y, succ[y][x]
+        if walk:
+            faces.append(embed.Face(tuple(walk)))
+    return faces, {dart: i for i, f in enumerate(faces) for dart in f.edges()}
+
+
+def _two_coloring_by_search(faces, face_of):
+    # oracle: colour the faces across each face's Face.edges(); None on an odd cycle
+    color, queue = {0: 0}, [0]
+    while queue:
+        i = queue.pop()
+        for a, b in faces[i].edges():
+            j = face_of[b, a]
+            if j not in color:
+                color[j] = 1 - color[i]
+                queue.append(j)
+            elif color[j] == color[i]:
+                return None
+    classes = [[f for i, f in enumerate(faces) if color[i] == c] for c in (0, 1)]
+    return sorted(classes, key=lambda cls: min(f.vertex_set() for f in cls))
+
+
+@st.composite
+def rotations(draw, n):
+    """A rotation of K_n: a random cycle at each vertex, or one random cycle
+    of steps 1..n-1 moved to every vertex (2-colourable for many odd n)."""
+    if draw(st.booleans()):
+        steps = draw(st.permutations(range(1, n)))
+        return rotation_from_cycles(n, [[(x + d) % n for d in steps] for x in range(n)])
+    return rotation_from_cycles(n, [draw(st.permutations([y for y in range(n) if y != x]))
+                                    for x in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 9).flatmap(rotations))
+@example(embed.classical_rotation())
+def test_faces_dart_index_and_two_coloring_match_the_edge_dict(rotation):
+    faces, face_of = _trace_by_dart_set(rotation)
+    n = rotation.n
+    assert list(rotation.faces) == faces
+    assert rotation.face_index == tuple(
+        tuple(face_of.get((x, y), -1) for y in range(n)) for x in range(n))
+    expected = _two_coloring_by_search(faces, face_of)
+    if expected is None:
+        with pytest.raises(NotTwoColorable):
+            two_coloring(rotation)
+    else:
+        coloring = two_coloring(rotation)
+        assert [list(coloring.class_a), list(coloring.class_b)] == expected
+
+
+def _candidates_by_walking(r1, r2):
+    # oracle: for each dart (a, b) of r2 and each sense, 0 -> a and the
+    # rotation at 0 in r1, walked from 1, onto the rotation at a in r2, walked
+    # from b forward or backward; the set of these maps, sorted
+    n, maps = r1.n, set()
+    for a, b in permutations(range(n), 2):
+        for step in (r2.rho, r2.rho_inv):
+            images, y, z = [a] * n, 1, b
+            for _ in range(n - 1):
+                images[y] = z
+                y, z = r1.rho(0, y), step(a, z)
+            maps.add(tuple(images))
+    return sorted(maps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 9).flatmap(lambda n: st.tuples(rotations(n), rotations(n))))
+@example((embed.classical_rotation(), embed.classical_rotation()))
+def test_candidate_maps_are_the_maps_their_docstring_defines(pair):
+    r1, r2 = pair
+    assert list(embed._candidate_maps(r1, r2)) == _candidates_by_walking(r1, r2)

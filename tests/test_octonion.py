@@ -469,3 +469,34 @@ def test_product_kernel_is_not_built_at_import():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == ["0", "1"]
+
+
+def _as_lists(table):
+    """The table as a list, with its tuple rows and tuple entries as lists."""
+    return [[list(e) if isinstance(e, tuple) else e for e in row] if isinstance(row, tuple) else row
+            for row in table]
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (_with_entry(5), r"^table entry e2e3 = 5 is not \(\+-1, k\), k in 1\.\.7$"),
+        (_with_entry((-1, 0)), r"^table entry e2e3 = .-1, 0. is not \(\+-1, k\), k in 1\.\.7$"),
+        (_with_entry((1, 8)), r"^table entry e2e3 = .1, 8. is not \(\+-1, k\), k in 1\.\.7$"),
+        (_with_entry((-1, 1.0)), r"^table entry e2e3 = .-1, 1\.0. is not \(\+-1, k\)"),
+        (_with_entry((1, 2, 3)), r"^table entry e2e3 = .1, 2, 3. is not \(\+-1, k\)"),
+        (cartan_table()[:6], "^a multiplication table needs 7 rows of 7 entries, got"),
+        (cartan_table()[:6] + (cartan_table()[6][:6],), "^a multiplication table needs 7 rows of 7"),
+        (cartan_table() + (cartan_table()[0],), "^a multiplication table needs 7 rows of 7"),
+        ((5,) * 7, "^a multiplication table needs 7 rows of 7"),
+    ],
+    ids=["int-entry", "real-off-the-diagonal", "k-out-of-range", "float-k", "triple",
+         "six-rows", "short-row", "eight-rows", "rows-of-numbers"],
+)
+def test_automorphisms_reject_a_table_of_the_wrong_shape_or_entry(table, message):
+    # a ValueError naming the shape or the entry, as multiply's, and not a
+    # TypeError, an IndexError or an error about a unit index derived from it
+    for given_as in table, _as_lists(table):
+        with pytest.raises(ValueError, match=message) as raised:
+            algebra_automorphism_perms(given_as)
+        assert type(raised.value) is ValueError

@@ -634,3 +634,106 @@ def test_third_point_table_leaves_value_semantics_alone():
     assert touched.third_table[0][1] == 3
     assert (repr(touched), hash(touched), touched.to_json()) == before
     assert touched == fresh and hash(touched) == hash(fresh)
+
+
+def _validate_by_pair_set(v, blocks):
+    # oracle: the validator as a set of covered pairs, with a closing sweep
+    # for an uncovered pair, returning (v, canonical blocks)
+    if type(v) is not int:
+        raise StsError(f"v={v!r} is not an integer")
+    if v < 1 or v % 6 not in (1, 3):
+        raise StsError(f"no STS({v}) exists: v must be >= 1 and 1 or 3 (mod 6)")
+    try:
+        blocks = [tuple(b) for b in blocks]
+    except TypeError:
+        raise StsError(f"blocks {blocks!r} are not a list of point triples") from None
+    for x in (x for b in blocks for x in b):
+        if type(x) is not int:
+            raise StsError(f"point {x!r} is not an integer")
+    canon = sorted(steiner.canonical_block(b) for b in blocks)
+    if len(canon) != v * (v - 1) // 6:
+        raise BadBlockCount(v, len(canon))
+    covered = set()
+    for b in canon:
+        for p in combinations(b, 2):
+            if max(b) >= v or min(b) < 0:
+                raise StsError(f"block {b} out of range for v={v}")
+            if p in covered:
+                raise PairCoveredTwice(p)
+            covered.add(p)
+    for p in combinations(range(v), 2):
+        if p not in covered:
+            raise PairUncovered(p)
+    return v, tuple(canon)
+
+
+AG23_BLOCKS = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8),
+               (0, 4, 8), (2, 4, 6), (1, 5, 6), (2, 3, 7), (0, 5, 7), (1, 3, 8)]
+NOT_INTS = st.sampled_from([3.5, True, "3", None])
+
+
+@st.composite
+def block_lists(draw):
+    """A relabelled STS(1), STS(3), Fano plane or AG(2,3), or no blocks for an
+    inadmissible or non-int v, with up to three faults: a point replaced by
+    an int in -1..v or by one that is not an int, a block dropped, a block of
+    2 to 4 such ints added, or a block repeated."""
+    v = draw(st.sampled_from([1, 3, 7, 9, 7, 9] if draw(st.integers(0, 3)) else [0, 2, 5, 8, 7.0, "7"]))
+    base = {1: [], 3: [(0, 1, 2)], 7: B1_BLOCKS, 9: AG23_BLOCKS}.get(v, []) if type(v) is int else []
+    images = draw(st.permutations(range(v))) if base else []
+    blocks = [[images[x] for x in b] for b in base]
+    points = st.integers(-1, v if type(v) is int else 9)  # in range but for -1 and v
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["point", "not-int", "drop", "add", "repeat"]))
+        if fault == "add":
+            blocks.append(draw(st.lists(points, min_size=2, max_size=4)))
+        elif blocks:
+            i = draw(st.integers(0, len(blocks) - 1))
+            if fault in ("point", "not-int"):
+                point = draw(points if fault == "point" else NOT_INTS)
+                blocks[i][draw(st.integers(0, len(blocks[i]) - 1))] = point
+            elif fault == "drop":
+                del blocks[i]
+            else:
+                blocks.append(list(blocks[i]))
+    return v, draw(st.permutations(blocks))
+
+
+@settings(max_examples=400, deadline=None)
+@given(block_lists())
+@example((7, [list(b) for b in B1_BLOCKS]))
+@example((7, [list(b) for b in B1_BLOCKS[:5]] + [[1, 5, 6], [2, 5, 6]]))
+@example((7, [list(b) for b in B1_BLOCKS[:6]] + [[0, 2, 7]]))
+@example((7, [list(b) for b in B1_BLOCKS[:6]] + [[-1, 2, 6]]))
+@example((7, [list(b) for b in B1_BLOCKS[:6]] + [[0, 1, 6]]))
+@example((9, [list(b) for b in AG23_BLOCKS[1:]] + [[3, 4, 5]]))
+def test_validate_sts_matches_the_pair_set_oracle(case):
+    # the same exception type and message, or equal blocks and an equal
+    # third-point table, read off the blocks by a scan
+    v, blocks = case
+    try:
+        expected = _validate_by_pair_set(v, blocks)
+    except StsError as error:
+        with pytest.raises(type(error)) as raised:
+            validate_sts(v, blocks)
+        assert type(raised.value) is type(error) and str(raised.value) == str(error)
+        return
+    system = validate_sts(v, blocks)
+    assert (system.v, system.blocks) == expected
+    thirds = {(x, y): z for b in system.blocks for x, y, z in permutations(b)}
+    assert system.third_table == tuple(
+        tuple(thirds.get((x, y), -1) for y in range(v)) for x in range(v))
+
+
+def test_a_validated_system_carries_its_third_point_table(b1):
+    # one table per validated system, filled in the pass that checks the
+    # pairs and kept as a field: it is there before any search reads it, and
+    # every read and search returns that same table
+    systems = [sts_from_json(b1.to_json()), validate_sts(9, AG23_BLOCKS), cyclic_sts13(),
+               map_sts(affine_perm(7, 3, 1), b1), validate_sts(1, []), *all_fano_planes()[:3]]
+    for system in systems:
+        table = vars(system)["third_table"]
+        thirds = {(x, y): z for b in system.blocks for x, y, z in permutations(b)}
+        assert table == tuple(tuple(thirds.get((x, y), -1) for y in range(system.v))
+                              for x in range(system.v))
+        assert len(isomorphisms(system, system)) >= 1 and system.third_table is table
