@@ -9,7 +9,10 @@ the bytes that the stdlib's ``json.dumps`` writes with ``indent=2``; a
 small writer produces it, since the stdlib encodes indented JSON in pure
 Python.  It writes a list of ints with one join, and a list of non-empty
 int rows of one length (blocks, arcs, circuits, faces) with one row
-template; keys and other scalars go to the stdlib's C encoder.
+template; keys and other scalars go to the stdlib's C encoder.  ``aut
+--format json`` prints the compact bytes of ``json.dumps``: the stdlib
+writes its other fields, and its element rows are one join of names read
+from a table of the v point names.
 """
 
 from __future__ import annotations
@@ -122,6 +125,24 @@ def _indented(obj, newline: str = "\n") -> str:
     return json.dumps(obj)
 
 
+def _image_rows(rows: Sequence[Sequence[int]], v: int) -> str:
+    """The bytes of json.dumps(rows) for a non-empty list of rows of one
+    width, each entry an int in range(v): the entries, named from a table
+    of v point names, make one flat list; every row's first name gets its
+    "[" and its last its "]", by two slice assignments; one join writes it.
+
+    aut passes the image tuples of the search kernel, whose checks prove
+    each one a bijection of range(v) (see steiner._isomorphism_kernel), so
+    no entry is scanned for its type: a bool or an int out of range never
+    reaches here."""
+    names = [str(x) for x in range(v)]
+    width = len(rows[0])
+    flat = [names[x] for row in rows for x in row]
+    flat[::width] = ["[" + name for name in flat[::width]]
+    flat[width - 1::width] = [name + "]" for name in flat[width - 1::width]]
+    return "[" + ", ".join(flat) + "]"
+
+
 def cmd_verify_all(args: argparse.Namespace) -> int:
     reports = certificates.run_all()
     if args.format == "json":
@@ -219,10 +240,13 @@ def cmd_aut(args: argparse.Namespace) -> int:
         lengths = [len(t) for t in transversals]
     tag = classify_order21(PermGroup(design.v, tuple(map(_unchecked, elements)))) if order == 21 else None
     if args.format == "json":
-        out = {"order": order, "classification": tag, "elements": elements}
+        out = {"order": order, "classification": tag}
         if generators:
-            out.update(base=base, orbit_lengths=lengths, generators=[u.images for u in generators])
-        print(json.dumps(out))
+            out.update(elements=None, base=base, orbit_lengths=lengths,
+                       generators=[u.images for u in generators])
+            print(json.dumps(out))
+        else:  # the elements close the object, written as json.dumps would
+            print(json.dumps(out)[:-1] + ', "elements": ' + _image_rows(elements, design.v) + "}")
         return 0
     print(f"order: {order}")
     if tag:

@@ -128,7 +128,7 @@ def sts_from_json(data: dict) -> TripleSystem:
     blocks = data["blocks"]
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise StsError(f"'blocks' must be a list of lists of points, got {blocks!r}")
-    return validate_sts(data["v"], [tuple(b) for b in blocks])
+    return validate_sts(data["v"], blocks)
 
 
 def cyclic_sts(v: int, base_blocks: Sequence[Iterable[int]]) -> TripleSystem:

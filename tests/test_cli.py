@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fano21
-from fano21 import certificates, orient, perms, steiner
-from fano21.cli import AUT_LIST_LIMIT, BUILTIN_DESIGNS, BUILTIN_ROTATIONS, _indented, build_parser, main
+from fano21 import certificates, cli, orient, perms, steiner
+from fano21.cli import (AUT_LIST_LIMIT, BUILTIN_DESIGNS, BUILTIN_ROTATIONS, _image_rows, _indented,
+                        build_parser, main)
 from fano21.embed import classical_rotation
 from fano21.kirkman import sts15_61
 from fano21.perms import Perm
@@ -205,6 +206,36 @@ def test_no_command_falls_back_to_the_pure_python_encoder(monkeypatch, capsys):
         assert code == 0 and json.loads(out)
 
 
+def _image_row_lists(v):
+    # 1..60 rows of one width, 1..v, of points in range(v)
+    return st.integers(1, v).flatmap(lambda width: st.lists(
+        st.tuples(*[st.integers(0, v - 1)] * width), min_size=1, max_size=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.integers(1, 40).flatmap(lambda v: st.tuples(st.just(v), _image_row_lists(v))))
+def test_image_rows_print_the_bytes_of_the_stdlib_encoder(data):
+    v, rows = data
+    assert _image_rows(rows, v) == json.dumps(rows)
+
+
+def test_aut_writes_its_elements_without_the_stdlib_encoder(monkeypatch, tmp_path, capsys, sts31):
+    # json.dumps writes the order and the classification; the element rows
+    # are joined from point names, so no element list reaches it
+    seen, dumps = [], json.dumps
+    monkeypatch.setattr(cli.json, "dumps", lambda obj, **kw: seen.append(obj) or dumps(obj, **kw))
+    path = tmp_path / "sts31.json"
+    path.write_text(dumps(sts31.to_json()))
+    sources = [("--builtin", name) for name in BUILTIN_DESIGNS] + [("--design", str(path))]
+    for source in sources:
+        del seen[:]
+        code, out, _ = run(capsys, "aut", *source, "--format", "json")
+        listed = list(map(tuple, json.loads(out)["elements"]))
+        assert code == 0 and seen and len(listed) == json.loads(out)["order"]
+        for obj in seen:
+            assert all(value != listed for value in (obj.values() if isinstance(obj, dict) else [obj]))
+
+
 def test_enumerate_mates_builtin(capsys):
     code, out, _ = run(capsys, "enumerate", "mates", "--builtin", "b1")
     assert code == 0
@@ -379,6 +410,7 @@ def test_aut_on_large_designs(request, tmp_path, name, order):
                             "--format", fmt], env=env, capture_output=True, text=True,
                            timeout=60, check=True).stdout for fmt in ("json", "text")]
     data = json.loads(outs[0])
+    assert outs[0] == json.dumps(data) + "\n"
     assert (data["order"], data["classification"], data["elements"]) == (order, None, None)
     assert math.prod(data["orbit_lengths"]) == order
     blocks = system.block_set()
@@ -405,15 +437,20 @@ def test_aut_lists_elements_up_to_the_limit(pg32, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", ["b1", "ag23", "sts13", "sts61", "pg32", "sts19", "sts31",
-                                  *(f"b1-{seed}" for seed in range(10))])
+                                  *(f"b1-{seed}" for seed in range(10)), "sts1", "sts3", "b2"])
 def test_aut_lists_the_automorphism_group(request, tmp_path, capsys, name):
     # the JSON elements, as the kernel's full search yields them, are the
     # sorted group; so is the closure of the chain's transversal elements,
     # one per coset, and at v = 7 the brute-force sweep, which shares no code
     # with the kernel; and the order counts the listing, whether aut took it
     # from the listing (every bound but STS(31)'s is at or below the limit)
-    # or from the chain
-    if name == "sts13":
+    # or from the chain.  The output has the bytes of json.dumps, from the
+    # one-point rows of STS(1) to the 20,160 rows of PG(3,2)
+    if name == "sts1":
+        system = steiner.validate_sts(1, [])
+    elif name == "sts3":
+        system = steiner.validate_sts(3, [(0, 1, 2)])
+    elif name == "sts13":
         system = steiner.cyclic_sts13()
     elif name.startswith("b1-"):
         sigma = list(range(7))
@@ -423,9 +460,10 @@ def test_aut_lists_the_automorphism_group(request, tmp_path, capsys, name):
         system = request.getfixturevalue(name)
     path = tmp_path / "design.json"
     path.write_text(json.dumps(system.to_json()))
-    code, out, _ = run(capsys, "aut", "--design", str(path), "--format", "json")
-    assert code == 0
+    code, out, err = run(capsys, "aut", "--design", str(path), "--format", "json")
+    assert (code, err) == (0, "")
     data = json.loads(out)
+    assert out == json.dumps(data) + "\n"
     elements = data["elements"]
     assert data["order"] == len(elements)
     assert elements == [list(p.images) for p in steiner.automorphism_group(system)]
