@@ -40,10 +40,9 @@ BUILTIN_DESIGNS = {
 AUT_LIST_LIMIT = 20160  # aut lists a group's elements up to |Aut(PG(3,2))|
 BUILTIN_ROTATIONS = {"classical-rotation": embed.classical_rotation}
 # per kind of input: its builtins, its JSON reader, the errors of a bad file
-# (a rotation key too long for int() raises a plain ValueError)
 INPUTS = {
     "design": (BUILTIN_DESIGNS, steiner.sts_from_json, steiner.StsError),
-    "rotation": (BUILTIN_ROTATIONS, embed.rotation_from_json, (embed.RotationError, ValueError)),
+    "rotation": (BUILTIN_ROTATIONS, embed.rotation_from_json, embed.RotationError),
 }
 
 

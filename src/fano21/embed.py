@@ -169,7 +169,10 @@ def rotation_from_json(data: dict) -> RotationSystem:
                 f"rotation at vertex {key} must be a list of neighbors or of cycles, "
                 f"got {value!r}"
             )
-        x = int(key)
+        try:
+            x = int(key)
+        except ValueError:  # more digits than int() converts
+            raise RotationError(f"rotation key of {len(key)} characters is too long") from None
         if x in by_vertex:
             raise RotationError(f"rotation keys {by_key[x]!r} and {key!r} name one vertex")
         by_vertex[x] = value

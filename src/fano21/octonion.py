@@ -101,10 +101,10 @@ def multiply(a: Octonion, b: Octonion, table: Table | None = None) -> Octonion:
     """Bilinear extension of the basis table; 1 is a two-sided identity."""
     if table is None or table is _default_table():  # no hash of the table
         return _unchecked(_default_product()(a.coeffs, b.coeffs))
-    try:  # a table given as lists cannot be a cache key
-        product = _product(table if isinstance(table, tuple) else _as_tuples(table))
-    except TypeError:  # nor can a tuple holding lists
-        product = _product(_as_tuples(table))
+    try:
+        product = _product(table)
+    except TypeError:  # a table holding lists cannot be a cache key
+        product = _product(_read_table(table))
     return _unchecked(product(a.coeffs, b.coeffs))
 
 
@@ -116,38 +116,35 @@ def _product(table: Table) -> Callable[[tuple, tuple], tuple]:
     precomputed signed index rows take 10-15 us; `multiply` went from 13 us
     (a double loop over the 64 pairs) to 3.8 us (timeit, Python 3.11, 2-vCPU
     Xeon).  The source holds only indices from range(8) and signs."""
-    _check_shape(table)
     terms = [["+a0*b0"]] + [[f"+a0*b{k}", f"+a{k}*b0"] for k in range(1, 8)]
-    for i, row in enumerate(table, start=1):
-        for j, entry in enumerate(row, start=1):
-            if not _is_signed_unit(entry):
-                raise ValueError(f"table entry e{i}e{j} = {entry!r} is not (+-1, k), k in 0..7")
-            terms[entry[1]].append(f"{'-' if entry[0] < 0 else '+'}a{i}*b{j}")
+    for i, row in enumerate(_read_table(table), start=1):
+        for j, (sign, k) in enumerate(row, start=1):
+            terms[k].append(f"{'-' if sign < 0 else '+'}a{i}*b{j}")
     a, b = (", ".join(f"{x}{i}" for i in range(8)) for x in "ab")
     coords = ", ".join("".join(t).lstrip("+") for t in terms)
     exec(f"def product(a, b):\n {a} = a\n {b} = b\n return ({coords})", namespace := {})
     return namespace["product"]
 
 
-def _check_shape(table) -> None:
+def _read_table(table, squares: bool = False) -> Table:
+    """The table as tuples, after checking its shape and then each entry in
+    row-major order: a pair (+-1, k), as a tuple or a list, with k an int in
+    0..7; with `squares`, k in 1..7 off the diagonal and (-1, 0) on it.  An
+    error names the shape or the first entry at fault."""
     if not (isinstance(table, (tuple, list)) and len(table) == 7
             and all(isinstance(row, (tuple, list)) and len(row) == 7 for row in table)):
         raise ValueError(f"a multiplication table needs 7 rows of 7 entries, got {table!r}")
-
-
-def _is_signed_unit(entry, low: int = 0) -> bool:
-    """Is the entry a pair (+-1, k), k an int in low..7, as a tuple or a list?"""
-    return (isinstance(entry, (tuple, list)) and len(entry) == 2 and entry[0] in (1, -1)
-            and type(entry[1]) is int and low <= entry[1] <= 7)
-
-
-def _as_tuples(table) -> Table:
-    try:  # rows and list entries as tuples; _product checks the shape
-        table = tuple(tuple(tuple(e) if isinstance(e, list) else e for e in row) for row in table)
-        hash(table)
-    except TypeError:  # not iterable, or an entry that cannot be a key
-        raise ValueError(f"a multiplication table needs 7 rows of 7 (sign, k) pairs, got {table!r}") from None
-    return table
+    low = int(squares)
+    for i, j in product(range(7), repeat=2):
+        entry = table[i][j]
+        if squares and i == j:
+            if entry not in ((-1, 0), [-1, 0]):
+                raise ValueError(f"table entry e{i + 1}e{j + 1} = {entry!r} is not (-1, 0)")
+        elif not (isinstance(entry, (tuple, list)) and len(entry) == 2 and entry[0] in (1, -1)
+                  and type(entry[1]) is int and low <= entry[1] <= 7):
+            raise ValueError(
+                f"table entry e{i + 1}e{j + 1} = {entry!r} is not (+-1, k), k in {low}..7")
+    return tuple(tuple(map(tuple, row)) for row in table)
 
 
 def _unchecked(coeffs: tuple[int, ...]) -> Octonion:
@@ -159,9 +156,10 @@ def _unchecked(coeffs: tuple[int, ...]) -> Octonion:
 
 def unit_table(table: Table) -> list[tuple[SignedBasis, ...]]:
     """The 8x8 table of products e_a e_b, a, b in 0..7, e_0 = 1 being the
-    identity: the table's rows with row and column 0 added."""
+    identity: the table's rows, read as by :func:`multiply`, with row and
+    column 0 added."""
     return [tuple((1, b) for b in range(8)),
-            *(((1, a), *row) for a, row in enumerate(table, start=1))]
+            *(((1, a), *row) for a, row in enumerate(_read_table(table), start=1))]
 
 
 def alternative_law_failure(table: Table) -> tuple[int, int, int] | None:
@@ -209,18 +207,23 @@ def is_algebra_automorphism(sigma: Perm, table: Table) -> bool:
 
     The permutation is given on {0..6} and read as acting on unit
     indices 1..7 with 7 = 0 + 7, i.e. through the point-unit mapping.
-    As for :func:`multiply`, the table may be given as lists.
+    As for :func:`multiply`, the table may be given as lists, and one that
+    the loop cannot read is refused in its words.
     """
     if sigma.degree != 7:
         raise ValueError(f"expected a permutation of 7 symbols, got degree {sigma.degree}")
     # image[i] is the unit index of e_i's image, unit 7 being point 0; 1 is fixed
     image = (0, *(sigma.images[i % 7] or 7 for i in range(1, 8)))
-    for i in range(1, 8):
-        row, image_row = table[i - 1], table[image[i] - 1]
-        for j in range(1, 8):
-            (sign, k), (image_sign, image_k) = row[j - 1], image_row[image[j] - 1]
-            if image_sign != sign or image_k != image[k]:
-                return False
+    try:
+        for i in range(1, 8):
+            row, image_row = table[i - 1], table[image[i] - 1]
+            for j in range(1, 8):
+                (sign, k), (image_sign, image_k) = row[j - 1], image_row[image[j] - 1]
+                if image_sign != sign or image_k != image[k]:
+                    return False
+    except (IndexError, TypeError, ValueError):  # the table is at fault
+        _read_table(table)
+        raise
     return True
 
 
@@ -237,14 +240,8 @@ def algebra_automorphism_perms(table: Table) -> list[Perm]:
     -1, which is checked here, as are the shape and each entry off the diagonal,
     (+-1, k) with k in 1..7; an error names the shape or the entry, in the
     words of :func:`multiply`."""
-    _check_shape(table)
+    table = _read_table(table, squares=True)
     units = range(1, 8)
-    for i, j in product(units, repeat=2):
-        entry = table[i - 1][j - 1]
-        if i == j and entry not in ((-1, 0), [-1, 0]):
-            raise ValueError(f"table entry e{i}e{j} = {entry!r} is not (-1, 0)")
-        if i != j and not _is_signed_unit(entry, 1):
-            raise ValueError(f"table entry e{i}e{j} = {entry!r} is not (+-1, k), k in 1..7")
     pairs = [(i % 7, j % 7, table[i - 1][j - 1]) for i in units for j in units if i != j]
     plane = validate_sts(7, {tuple(sorted((x, y, unit_to_point(k)))) for x, y, (_, k) in pairs})
     plus = {(x, y) for x, y, (sign, _) in pairs if sign == 1}

@@ -243,14 +243,14 @@ def _arcs_from_sequence(plane: TripleSystem, seq: tuple[int, ...]) -> set[Arc]:
 
 
 def circuit_to_orientation(plane: TripleSystem, circuit: FanoCircuit) -> OrientedFano:
-    """The orientation induced by a circuit; the forward direction is
-    tried first and the backward circuit is used if out-closure fails."""
+    """The orientation induced by a circuit: its forward arcs if they pass
+    out-closure, else their reverses, which the backward circuit induces."""
     validate_circuit(plane, circuit.seq)
+    arcs = _arcs_from_sequence(plane, circuit.seq)
     try:
-        return validate_orientation(plane, _arcs_from_sequence(plane, circuit.seq))
+        return validate_orientation(plane, arcs)
     except OrientationError:
-        backward = tuple(reversed(circuit.seq))
-        return validate_orientation(plane, _arcs_from_sequence(plane, backward))
+        return validate_orientation(plane, {(y, x) for x, y in arcs})
 
 
 def circuits_of_orientation(oriented: OrientedFano) -> list[FanoCircuit]:

@@ -173,24 +173,19 @@ def are_orthogonal(s1: TripleSystem, s2: TripleSystem) -> dict[str, bool]:
 
     Returns {"disjoint": ..., "orthogonal": ...}.  Orthogonal means
     disjoint and: whenever {x,y,z},{u,v,z} are blocks of s1 and {x,y,a},
-    {u,v,b} are blocks of s2, then a != b.
+    {u,v,b} are blocks of s2, then a != b (Colbourn & Rosa, *Triple
+    Systems*).  The blocks of s1 through z pair up the other points, so the
+    condition says that the s2-third points of those pairs differ: the
+    pairs (z, third point in s2 of the rest of the block), one for each
+    point z of each block of s1, are all distinct.
     """
     if s1.v != s2.v:
         raise PointSetMismatch(s1.v, s2.v)
     disjoint = not (s1.block_set() & s2.block_set())
-    orthogonal = disjoint
-    if disjoint:
-        for b1, b2 in combinations(s1.blocks, 2):
-            common = set(b1) & set(b2)
-            if len(common) != 1:
-                continue
-            (z,) = common
-            (x, y) = sorted(set(b1) - {z})
-            (u, v) = sorted(set(b2) - {z})
-            if s2.third_point(x, y) == s2.third_point(u, v):
-                orthogonal = False
-                break
-    return {"disjoint": disjoint, "orthogonal": orthogonal}
+    t2 = s2.third_table
+    pairs = ((z, t2[x][y]) for a, b, c in s1.blocks
+             for z, x, y in ((a, b, c), (b, a, c), (c, a, b)))
+    return {"disjoint": disjoint, "orthogonal": disjoint and len(set(pairs)) == 3 * len(s1.blocks)}
 
 
 def closure(

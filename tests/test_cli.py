@@ -321,6 +321,14 @@ def test_rotation_of_a_huge_n_is_rejected_by_its_keys(tmp_path, capsys):
     assert err == "error: invalid rotation: no rotation given for vertex 1\n"
 
 
+def test_rotation_key_too_long_for_int_exits_1(tmp_path, capsys):
+    path = tmp_path / "long-key.json"
+    path.write_text(json.dumps({"n": 7, "rotation": {"1" * 5000: [1]}}))
+    code, _, err = run(capsys, "faces", "--rotation", str(path))
+    assert code == 1
+    assert err == "error: invalid rotation: rotation key of 5000 characters is too long\n"
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "enumerate", "mates", "--design", "no/such.json")
     assert code == 2

@@ -420,6 +420,12 @@ def test_rotation_json_round_trip(classical):
     assert rotation_from_json(data).succ == classical.succ
 
 
+def test_rotation_key_too_long_for_int_is_a_rotation_error():
+    # int() refuses a string of more than 4,300 digits with a plain ValueError
+    with pytest.raises(RotationError, match="^rotation key of 5000 characters is too long$"):
+        rotation_from_json({"n": 7, "rotation": {"1" * 5000: [1]}})
+
+
 def test_dot_export(classical):
     dot = to_dot(classical)
     assert dot.startswith("graph K7 {")

@@ -24,6 +24,7 @@ from fano21.octonion import (
     point_to_unit,
     table_to_json,
     table_to_text,
+    unit_table,
     unit_to_point,
     _product,
 )
@@ -499,4 +500,38 @@ def test_automorphisms_reject_a_table_of_the_wrong_shape_or_entry(table, message
     for given_as in table, _as_lists(table):
         with pytest.raises(ValueError, match=message) as raised:
             algebra_automorphism_perms(given_as)
+        assert type(raised.value) is ValueError
+
+
+_IDENTITY = Perm(tuple(range(7)))
+
+
+@pytest.mark.parametrize(
+    "read",
+    [lambda table: multiply(ONE, ONE, table), unit_table, alternative_law_failure,
+     composition_law_failure, lambda table: is_algebra_automorphism(_IDENTITY, table)],
+    ids=["multiply", "unit_table", "alternative_law", "composition_law", "is_automorphism"],
+)
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (_with_entry(5), r"^table entry e2e3 = 5 is not \(\+-1, k\), k in 0\.\.7$"),
+        (_with_entry((1, 8)), r"^table entry e2e3 = .1, 8. is not \(\+-1, k\), k in 0\.\.7$"),
+        (_with_entry((-1, 1.0)), r"^table entry e2e3 = .-1, 1\.0. is not \(\+-1, k\)"),
+        (_with_entry((1, 2, 3)), r"^table entry e2e3 = .1, 2, 3. is not \(\+-1, k\)"),
+        (cartan_table()[:6], "^a multiplication table needs 7 rows of 7 entries, got"),
+        (cartan_table()[:6] + (cartan_table()[6][:6],), "^a multiplication table needs 7 rows of 7"),
+        ((5,) * 7, "^a multiplication table needs 7 rows of 7"),
+    ],
+    ids=["int-entry", "k-out-of-range", "float-k", "triple", "six-rows", "short-row",
+         "rows-of-numbers"],
+)
+def test_every_table_reader_names_the_shape_or_the_entry(read, table, message):
+    # the same ValueError, naming the shape or the entry, from each function
+    # that reads a table, and not a TypeError, an IndexError or a wrong unit
+    # table; is_algebra_automorphism reads the table only when its loop
+    # fails, which the identity's loop does on each of these tables
+    for given_as in table, _as_lists(table):
+        with pytest.raises(ValueError, match=message) as raised:
+            read(given_as)
         assert type(raised.value) is ValueError

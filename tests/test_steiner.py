@@ -113,6 +113,43 @@ def test_are_orthogonal_sts13():
     }
 
 
+def _orthogonal_by_block_pairs(s1, s2):
+    """The quadruple condition as it reads, over every pair of blocks of s1
+    that meet in a point z: the oracle for are_orthogonal."""
+    if s1.block_set() & s2.block_set():
+        return False
+    for b1, b2 in combinations(s1.blocks, 2):
+        common = set(b1) & set(b2)
+        if len(common) == 1 and (s2.third_point(*sorted(set(b1) - common))
+                                 == s2.third_point(*sorted(set(b2) - common))):
+            return False
+    return True
+
+
+def test_are_orthogonal_is_the_quadruple_condition(all_planes, sts61):
+    # every pair of labelled Fano planes, and seeded relabellings of STS(13)
+    # and #61 against themselves, among which some disjoint pairs are not
+    # orthogonal, so a test of disjointness alone fails here
+    sts13, rng = cyclic_sts13(), random.Random(1)
+    families = {"fano": [(p, q) for p in all_planes for q in all_planes],
+                "sts13-negated": [(sts13, negate_sts(sts13))]}
+    for name, s in ("sts13", sts13), ("sts61", sts61):
+        families[name] = [(map_sts(Perm(tuple(rng.sample(range(s.v), s.v))), s), s)
+                          for _ in range(300)]
+    counts = {}
+    for name, pairs in families.items():
+        for s1, s2 in pairs:
+            flags = are_orthogonal(s1, s2)
+            assert flags == {"disjoint": not (s1.block_set() & s2.block_set()),
+                             "orthogonal": _orthogonal_by_block_pairs(s1, s2)}
+            key = (name, flags["disjoint"], flags["orthogonal"])
+            counts[key] = counts.get(key, 0) + 1
+    assert counts == {("fano", False, False): 660, ("fano", True, True): 240,
+                      ("sts13-negated", True, True): 1,
+                      ("sts13", False, False): 272, ("sts13", True, False): 28,
+                      ("sts61", False, False): 276, ("sts61", True, False): 24}
+
+
 def test_are_orthogonal_mismatch(b1):
     with pytest.raises(PointSetMismatch):
         are_orthogonal(b1, cyclic_sts13())
