@@ -8,14 +8,13 @@ six neighbors.  Faces are the orbits of (a, b) -> (b, rho_b(a)) on the
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .perms import Perm, PermGroup, _unchecked
+from .perms import Perm, PermGroup, _closure, _unchecked
 from .steiner import exact_covers
 
 PRESERVING = "Preserving"
@@ -108,7 +107,8 @@ def validate_rotation(n: int, rotation: Mapping[int, Sequence]) -> RotationSyste
     rotation at a vertex must be a single cycle on all its neighbors.
     An n < 2 (no edges, so no faces), a rotation that is not a mapping, a
     non-int n or neighbor, and a key that is not a vertex 0..n-1 are
-    rejected.
+    rejected.  A cycle is checked in one set difference: it leaves out
+    just {x} in n - 1 entries exactly when it lists the neighbors of x once.
     """
     if type(n) is not int or n < 2:
         raise RotationError(f"K_n needs an integer n >= 2 to have edges, got n={n!r}")
@@ -120,6 +120,7 @@ def validate_rotation(n: int, rotation: Mapping[int, Sequence]) -> RotationSyste
     if len(rotation) < n:  # the keys are distinct vertices, so one is missing
         missing = next(x for x in range(n) if x not in rotation)
         raise RotationError(f"no rotation given for vertex {missing}")
+    vertices = set(range(n))
     succ: list[tuple[int, ...]] = []
     for x in range(n):
         value = rotation[x]
@@ -132,18 +133,22 @@ def validate_rotation(n: int, rotation: Mapping[int, Sequence]) -> RotationSyste
         for y in flat:
             if type(y) is not int:
                 raise RotationError(f"neighbor {y!r} at vertex {x} is not an integer")
-        present, neighbors = set(flat), set(range(n)) - {x}
-        for y in neighbors:
-            if y not in present:
-                raise MissingNeighbor(x, y)
-        if len(cycles) != 1 or len(flat) != n - 1 or present != neighbors:
-            raise NotSingleCycle(x)
-        cyc = cycles[0]
+        left_out = vertices.difference(flat)
+        if left_out != {x} or len(flat) != n - 1 or len(cycles) != 1:
+            left_out.discard(x)
+            raise MissingNeighbor(x, min(left_out)) if left_out else NotSingleCycle(x)
         nxt = [-1] * n
-        for i, y in enumerate(cyc):
-            nxt[y] = cyc[(i + 1) % (n - 1)]
+        for y, z in zip(flat, flat[1:] + flat[:1]):
+            nxt[y] = z
         succ.append(tuple(nxt))
     return RotationSystem(n, tuple(succ))
+
+
+def _is_int_key(key: str) -> bool:
+    """Whether ``\\s*[+-]?\\d+\\s*`` matches the key: on every code point,
+    ``\\s`` is what str.strip removes and ``\\d`` what str.isdecimal accepts."""
+    digits = key.strip()
+    return (digits[1:] if digits[:1] in "+-" else digits).isdecimal()
 
 
 def rotation_from_json(data: dict) -> RotationSystem:
@@ -160,9 +165,8 @@ def rotation_from_json(data: dict) -> RotationSystem:
     if not isinstance(rotation, dict):
         raise RotationError(f"rotation {rotation!r} is not an object of cycles")
     by_vertex: dict[int, list] = {}
-    by_key: dict[int, str] = {}
     for key, value in rotation.items():
-        if not (isinstance(key, str) and re.fullmatch(r"\s*[+-]?\d+\s*", key)):
+        if not (isinstance(key, str) and _is_int_key(key)):
             raise RotationError(f"rotation key {key!r} is not an integer vertex")
         if not isinstance(value, list) or len({isinstance(c, list) for c in value}) > 1:
             raise RotationError(
@@ -174,9 +178,9 @@ def rotation_from_json(data: dict) -> RotationSystem:
         except ValueError:  # more digits than int() converts
             raise RotationError(f"rotation key of {len(key)} characters is too long") from None
         if x in by_vertex:
-            raise RotationError(f"rotation keys {by_key[x]!r} and {key!r} name one vertex")
+            first = next(k for k in rotation if int(k) == x)
+            raise RotationError(f"rotation keys {first!r} and {key!r} name one vertex")
         by_vertex[x] = value
-        by_key[x] = key
     return validate_rotation(data["n"], by_vertex)
 
 
@@ -186,8 +190,10 @@ def rotation_from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> RotationSys
     return validate_rotation(n, dict(enumerate(cycles)))
 
 
+@lru_cache(maxsize=None)
 def classical_rotation() -> RotationSystem:
-    """The toroidal rotation of K7: rho_x(y) = 5y - 4x (mod 7)."""
+    """The toroidal rotation of K7: rho_x(y) = 5y - 4x (mod 7), built on
+    first use and shared, as the target of every classification."""
     return RotationSystem(
         7,
         tuple(
@@ -330,7 +336,7 @@ def _candidate_maps(r1: RotationSystem, r2: RotationSystem) -> Iterator[tuple[in
 
 def color_automorphism_group(rotation: RotationSystem) -> PermGroup:
     """Embedding automorphisms fixing both color classes, each class the
-    set of its faces' vertex sets; a stabilizer, so no closure check.  An
+    set of its faces' vertex sets, grown from the maps it verifies.  An
     automorphism carries faces to faces and adjacent ones to adjacent ones,
     so it maps the 2-coloring of the connected face graph to a proper one,
     which keeps both classes or swaps them.  So for a map that
@@ -339,18 +345,27 @@ def color_automorphism_group(rotation: RotationSystem) -> PermGroup:
     sends it into class B outside class A, since a swap maps the sets the
     classes share onto themselves.  Where every class-A set is a class-B
     one, a swap makes the classes equal and is kept by any face.  The face
-    tested, before the flag, is the last such set in sorted order.  In a
-    Fano plane of faces it avoids vertex 0; over the 240 triangular
-    rotations of K7 it keeps 21 of the 84 candidates on 168, where any
-    face through 0 keeps 42."""
+    tested, before the flag, is the last such set in sorted order.
+
+    The maps the flag accepts form a group, and those keeping both classes
+    a stabilizer in it, a subgroup G (Seress, *Permutation Group
+    Algorithms*, 2003).  So the closure of verified members stays in G, and
+    a candidate it reached needs no test; every automorphism is a candidate,
+    so each member of G is verified or reached.  The flag runs twice on the
+    classical rotation and 8.3 times on average over the 240 triangular
+    rotations of K7, where each candidate keeping the face took 21 or 42."""
     coloring = two_coloring(rotation)
     class_a = {frozenset(f.walk) for f in coloring.class_a}
     class_b = {frozenset(f.walk) for f in coloring.class_b}
     face = itemgetter(*max(class_a - class_b or class_a, key=sorted))
-    # a Perm only for the candidates that keep the tested face in class A
-    kept = (_unchecked(images) for images in _candidate_maps(rotation, rotation)
-            if frozenset(face(images)) in class_a)
-    return PermGroup(rotation.n, tuple(p for p in kept if isomorphism_flag(p, rotation, rotation)))
+    verified: list[Perm] = []
+    reached = set(_closure(rotation.n, verified))
+    for images in _candidate_maps(rotation, rotation):
+        if (images not in reached and frozenset(face(images)) in class_a
+                and isomorphism_flag(p := _unchecked(images), rotation, rotation)):
+            verified.append(p)
+            reached = set(_closure(rotation.n, verified))
+    return PermGroup(rotation.n, tuple(map(_unchecked, reached)))
 
 
 def triangular_completions(rho0: Sequence[int]) -> list[RotationSystem]:

@@ -1,4 +1,6 @@
+import re
 import time
+from collections.abc import Mapping
 from itertools import combinations, permutations
 from random import Random
 
@@ -257,13 +259,15 @@ def test_color_automorphism_group(classical, b1, b2):
     assert swap not in group.elements  # it exchanges the color classes
 
 
-@pytest.mark.parametrize("seed, flags", [(None, 21), (5, 42)], ids=["classical", "relabelled"])
+@pytest.mark.parametrize("seed, flags", [(None, 2), (5, 23)], ids=["classical", "relabelled"])
 def test_color_group_tests_one_face_per_candidate(monkeypatch, classical, seed, flags):
     # deterministic work counts: the 14 faces' vertex sets, then one face
-    # image per candidate, 84 on K7; the flag runs on each candidate whose
-    # tested face lands in class A, 21 on the classical rotation and 42 on
-    # this relabelling (the tested face keeps 42 on 72 of the 240 triangular
-    # rotations), and a Perm is built for those candidates only
+    # image per candidate the closure has not reached, 65 of the 84 on K7
+    # (the identity and 18 more of the 21 members are reached before their
+    # turn); the flag runs on each of those whose tested face lands in class
+    # A, 2 on the classical rotation, both members, and 23 on this
+    # relabelling, 2 members and the 21 candidates that keep the face but are
+    # no automorphism; a Perm is built for each flag run and each member
     rotation = classical
     if seed is not None:
         images = list(range(7))
@@ -277,7 +281,35 @@ def test_color_group_tests_one_face_per_candidate(monkeypatch, classical, seed, 
     monkeypatch.setattr(perms, "_new_object", lambda cls: built.append(cls) or new_object(cls))
     monkeypatch.setattr(Perm, "__post_init__", lambda p: built.append(Perm) or post_init(p))
     assert color_automorphism_group(rotation).order == 21
-    assert (len(vertex_sets), len(flagged), built.count(Perm)) == (14 + 84, flags, flags)
+    assert (len(vertex_sets), len(flagged), built.count(Perm)) == (14 + 65, flags, flags + 21)
+
+
+def _color_group_by_filter(rotation):
+    # oracle: every embedding automorphism, kept where it maps the vertex
+    # sets of each colour class onto themselves
+    coloring = two_coloring(rotation)
+    classes = [set(coloring.class_a_sets()), set(coloring.class_b_sets())]
+    return [p for p, _flag in embedding_isomorphisms(rotation, rotation)
+            if all({tuple(sorted(map(p, s))) for s in cls} == cls for cls in classes)]
+
+
+def _mirror(rotation):
+    return validate_rotation(rotation.n, {x: rotation.cycle_at(x)[::-1] for x in range(rotation.n)})
+
+
+def test_color_group_is_the_closure_of_the_maps_it_verifies(classical):
+    # the closure of the verified maps equals the filtered listing on all
+    # 240 triangular rotations of K7, on seeded relabellings of the classical
+    # rotation and of its mirror, and on K3
+    rotations = [r for rest in permutations(range(2, 7))
+                 for r in triangular_completions((1, *rest))]
+    rng = Random(7)
+    for _ in range(40):
+        sigma = Perm(tuple(rng.sample(range(7), 7)))
+        rotations += [_relabel(classical, sigma), _relabel(_mirror(classical), sigma)]
+    rotations += [_mirror(classical), rotation_from_cycles(3, [(1, 2), (2, 0), (0, 1)])]
+    for rotation in rotations:
+        assert list(color_automorphism_group(rotation)) == _color_group_by_filter(rotation)
 
 
 def test_two_coloring_reads_the_dart_index_of_the_trace(monkeypatch, classical):
@@ -424,6 +456,165 @@ def test_rotation_key_too_long_for_int_is_a_rotation_error():
     # int() refuses a string of more than 4,300 digits with a plain ValueError
     with pytest.raises(RotationError, match="^rotation key of 5000 characters is too long$"):
         rotation_from_json({"n": 7, "rotation": {"1" * 5000: [1]}})
+
+
+def _validate_rotation_in_passes(n, rotation):
+    # oracle: the reader before it checked each cycle in one pass, kept as it was
+    if type(n) is not int or n < 2:
+        raise RotationError(f"K_n needs an integer n >= 2 to have edges, got n={n!r}")
+    if not isinstance(rotation, Mapping):
+        raise RotationError(f"a rotation maps each vertex to its cycle, got {rotation!r}")
+    for key in rotation:
+        if type(key) is not int or not 0 <= key < n:
+            raise RotationError(f"rotation key {key!r} is not a vertex 0..{n - 1}")
+    if len(rotation) < n:
+        missing = next(x for x in range(n) if x not in rotation)
+        raise RotationError(f"no rotation given for vertex {missing}")
+    succ = []
+    for x in range(n):
+        value = rotation[x]
+        try:
+            cycles = value if value and isinstance(value[0], (list, tuple)) else [value]
+            flat = [y for c in cycles for y in c]
+        except (TypeError, LookupError):
+            raise RotationError(f"rotation at vertex {x} must be a list of neighbors "
+                                f"or of cycles, got {value!r}") from None
+        for y in flat:
+            if type(y) is not int:
+                raise RotationError(f"neighbor {y!r} at vertex {x} is not an integer")
+        present, neighbors = set(flat), set(range(n)) - {x}
+        for y in neighbors:
+            if y not in present:
+                raise MissingNeighbor(x, y)
+        if len(cycles) != 1 or len(flat) != n - 1 or present != neighbors:
+            raise NotSingleCycle(x)
+        cyc = cycles[0]
+        nxt = [-1] * n
+        for i, y in enumerate(cyc):
+            nxt[y] = cyc[(i + 1) % (n - 1)]
+        succ.append(tuple(nxt))
+    return embed.RotationSystem(n, tuple(succ))
+
+
+def _rotation_from_json_in_passes(data):
+    # oracle: the JSON reader before it checked each key in one pass
+    if not isinstance(data, dict):
+        raise RotationError(f"a rotation must be a JSON object, got {type(data).__name__}")
+    for key in ("n", "rotation"):
+        if key not in data:
+            raise RotationError(f"a rotation needs the key {key!r}")
+    rotation = data["rotation"]
+    if not isinstance(rotation, dict):
+        raise RotationError(f"rotation {rotation!r} is not an object of cycles")
+    by_vertex, by_key = {}, {}
+    for key, value in rotation.items():
+        if not (isinstance(key, str) and re.fullmatch(r"\s*[+-]?\d+\s*", key)):
+            raise RotationError(f"rotation key {key!r} is not an integer vertex")
+        if not isinstance(value, list) or len({isinstance(c, list) for c in value}) > 1:
+            raise RotationError(f"rotation at vertex {key} must be a list of neighbors or of "
+                                f"cycles, got {value!r}")
+        try:
+            x = int(key)
+        except ValueError:
+            raise RotationError(f"rotation key of {len(key)} characters is too long") from None
+        if x in by_vertex:
+            raise RotationError(f"rotation keys {by_key[x]!r} and {key!r} name one vertex")
+        by_vertex[x] = value
+        by_key[x] = key
+    return _validate_rotation_in_passes(data["n"], by_vertex)
+
+
+def _outcome(read, *args):
+    """What a reader gives: the rotation, or the type and message of its error."""
+    try:
+        return read(*args)
+    except RotationError as exc:
+        return type(exc), str(exc)
+
+
+_KEY_TEXT = st.text(st.sampled_from(" \t\n  +-_.x0123٣１"), max_size=4)
+_ODD_NEIGHBOR = st.sampled_from([1.0, True, "1", None, [1], (1,), -1, 99, 10**30])
+
+
+@st.composite
+def _edited_rotations(draw):
+    """A JSON rotation of K_n, n in 2..8, with a few edits that a reader must
+    refuse, or keep as they are: keys rewritten, repeated, dropped or added;
+    neighbours changed, repeated, dropped or added; cycles split or nested;
+    values replaced; and n replaced."""
+    n = draw(st.integers(2, 8))
+    rotation = {str(x): draw(st.permutations([y for y in range(n) if y != x])) for x in range(n)}
+    data = {"n": n, "rotation": rotation}
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["key", "repeat-key", "drop-key", "add-key", "neighbor",
+                                     "repeat", "drop", "append", "split", "nest", "value", "n"]))
+        if not rotation:
+            break
+        key = draw(st.sampled_from(sorted(rotation)))
+        value = rotation[key]
+        if edit == "key":
+            rotation[draw(_KEY_TEXT)] = rotation.pop(key)
+        elif edit == "repeat-key":
+            rotation[draw(st.sampled_from([f" {key}", f"+{key}", f"0{key}", f"{key}\n"]))] = value
+        elif edit == "drop-key":
+            del rotation[key]
+        elif edit == "add-key":
+            rotation[draw(st.sampled_from(["-1", str(n), "1" * 5000, "٣"]))] = value
+        elif edit == "value":
+            rotation[key] = draw(st.sampled_from([5, "abc", None, {"0": 1}, [], [[]], [1, [2]]]))
+        elif not isinstance(value, list) or not value or isinstance(value[0], list):
+            continue
+        elif edit == "neighbor":
+            value[draw(st.integers(0, len(value) - 1))] = draw(_ODD_NEIGHBOR | st.integers(-1, n))
+        elif edit == "repeat":
+            value[draw(st.integers(0, len(value) - 1))] = value[0]
+        elif edit == "drop":
+            del value[draw(st.integers(0, len(value) - 1))]
+        elif edit == "append":
+            value.append(draw(st.integers(-1, n)))
+        elif edit == "split":
+            i = draw(st.integers(0, len(value)))
+            rotation[key] = [value[:i], value[i:]]
+        elif edit == "nest":
+            rotation[key] = [value]
+        else:
+            data["n"] = draw(st.sampled_from([n - 1, n + 1, 1, -3, 7.0, True, "7", None]))
+    return data
+
+
+@settings(max_examples=600, deadline=None)
+@given(_edited_rotations())
+@example({"n": 7, "rotation": {str(x): list(c) for x, c in CLASSICAL_CYCLES.items()}})
+@example({"n": 3, "rotation": {"0": [1, 2], " 1": [2, 0], "01": [0, 1]}})
+@example({"n": 3, "rotation": {"0": [1, 2], "1": [2, 0], "٢": [0, 1]}})
+def test_one_pass_readers_match_the_readers_in_passes(data):
+    # the same RotationSystem, or the same error type and message, from the
+    # JSON reader and, on the same cycles keyed by int, from validate_rotation
+    assert _outcome(rotation_from_json, data) == _outcome(_rotation_from_json_in_passes, data)
+    by_int = {}
+    for key, value in data["rotation"].items():
+        try:
+            by_int.setdefault(int(key), value)
+        except ValueError:
+            by_int.setdefault(key, value)
+    mappings = [by_int]
+    if by_int:  # the first value also as a tuple, and as a string of digits
+        first, value = next(iter(by_int.items()))
+        mappings += [{**by_int, first: tuple(value) if isinstance(value, list) else value},
+                     {**by_int, first: "123"}]
+    for rotation in mappings:
+        assert (_outcome(validate_rotation, data["n"], rotation)
+                == _outcome(_validate_rotation_in_passes, data["n"], rotation))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_KEY_TEXT | st.text(max_size=4))
+@example("_3")
+@example("+-3")
+@example(" ٣\n")
+@example("\u00a0-3")
+def test_rotation_keys_are_read_as_the_integer_pattern_reads_them(key):
+    assert embed._is_int_key(key) == bool(re.fullmatch(r"\s*[+-]?\d+\s*", key))
 
 
 def test_dot_export(classical):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from itertools import product
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fano21
-from fano21 import steiner
+from fano21 import octonion, steiner
 from fano21.orient import all_orientations, oriented_automorphism_group
 from fano21.perms import Perm, group_from_elements
 from fano21.octonion import (
@@ -448,8 +449,9 @@ def test_automorphisms_of_a_table_of_lists(qr):
     assert [p for p in perms if is_algebra_automorphism(p, as_lists)] == perms
 
 
-@pytest.mark.parametrize("i, j, entry", [(1, 1, (1, 0)), (3, 3, (1, 5)), (2, 3, (2, 5))],
-                         ids=["e1e1-is-plus-one", "e3e3-is-e5", "sign-two"])
+@pytest.mark.parametrize("i, j, entry", [(1, 1, (1, 0)), (3, 3, (1, 5)), (2, 3, (2, 5)),
+                                         (4, 4, (-1.0, 0))],
+                         ids=["e1e1-is-plus-one", "e3e3-is-e5", "sign-two", "e4e4-float-sign"])
 def test_automorphisms_reject_a_wrong_square_or_sign(i, j, entry):
     # the kernel proves neither the squares nor that each sign is +-1, so a
     # table that fails either is refused, naming the entry, and not searched
@@ -519,19 +521,78 @@ _IDENTITY = Perm(tuple(range(7)))
         (_with_entry((1, 8)), r"^table entry e2e3 = .1, 8. is not \(\+-1, k\), k in 0\.\.7$"),
         (_with_entry((-1, 1.0)), r"^table entry e2e3 = .-1, 1\.0. is not \(\+-1, k\)"),
         (_with_entry((1, 2, 3)), r"^table entry e2e3 = .1, 2, 3. is not \(\+-1, k\)"),
+        (_with_entry((2, 5)), r"^table entry e2e3 = .2, 5. is not \(\+-1, k\), k in 0\.\.7$"),
         (cartan_table()[:6], "^a multiplication table needs 7 rows of 7 entries, got"),
         (cartan_table()[:6] + (cartan_table()[6][:6],), "^a multiplication table needs 7 rows of 7"),
+        (cartan_table() + (cartan_table()[0],), "^a multiplication table needs 7 rows of 7"),
         ((5,) * 7, "^a multiplication table needs 7 rows of 7"),
     ],
-    ids=["int-entry", "k-out-of-range", "float-k", "triple", "six-rows", "short-row",
-         "rows-of-numbers"],
+    ids=["int-entry", "k-out-of-range", "float-k", "triple", "sign-two", "six-rows",
+         "short-row", "eight-rows", "rows-of-numbers"],
 )
 def test_every_table_reader_names_the_shape_or_the_entry(read, table, message):
     # the same ValueError, naming the shape or the entry, from each function
     # that reads a table, and not a TypeError, an IndexError or a wrong unit
-    # table; is_algebra_automorphism reads the table only when its loop
-    # fails, which the identity's loop does on each of these tables
+    # table; is_algebra_automorphism reads every table but the default one
+    # before its loop, which on an eighth row or a sign of 2 would answer True
     for given_as in table, _as_lists(table):
         with pytest.raises(ValueError, match=message) as raised:
             read(given_as)
         assert type(raised.value) is ValueError
+
+
+@pytest.mark.parametrize("sign", [True, 1.0, 1 + 0j, -1.0],
+                         ids=["bool", "float", "complex", "minus-float"])
+def test_a_sign_is_a_plain_int(sign):
+    # a sign equal to +-1 that is no int is refused, naming the entry, as a
+    # float k is: multiply once raised an untyped TypeError on (1+0j, 5) from
+    # its compile, and algebra_automorphism_perms returned 21 maps.  Save for
+    # -1.0 the table equals the default one, whose product is compiled first,
+    # so multiply is refused also where the cache holds the table it equals
+    multiply(ONE, ONE)
+    table = _with_entry((sign, 5))
+    for read, low in ((lambda t: multiply(ONE, ONE, t), 0), (unit_table, 0),
+                      (algebra_automorphism_perms, 1)):
+        for given_as in table, _as_lists(table):
+            message = (rf"^table entry e2e3 = .{re.escape(repr(sign))}, 5. "
+                       rf"is not \(\+-1, k\), k in {low}\.\.7$")
+            with pytest.raises(ValueError, match=message) as raised:
+                read(given_as)
+            assert type(raised.value) is ValueError
+
+
+def test_a_table_of_lists_is_read_once_across_its_products(monkeypatch, qr):
+    # deterministic work count: a table's marshal bytes are the cache key,
+    # so 100 products read a table of lists once, where the compile misses
+    as_lists = [[list(entry) for entry in row] for row in cartan_table(qr)]
+    reads, read = [], octonion._read_table
+    monkeypatch.setattr(octonion, "_read_table", lambda *a: reads.append(1) or read(*a))
+    _product.cache_clear()
+    samples = random_octonions(101, seed=11)
+    for a, b in zip(samples, samples[1:]):
+        assert multiply(a, b, as_lists) == multiply_by_definition(a, b, cartan_table(qr))
+    assert len(reads) == 1
+    as_lists[1][2] = [2, 5]  # the same list object, now malformed, is read again
+    with pytest.raises(ValueError, match=r"^table entry e2e3 = \[2, 5\] is not"):
+        multiply(ONE, ONE, as_lists)
+
+
+def test_the_default_table_is_not_read_by_is_algebra_automorphism(monkeypatch, qr):
+    # deterministic work count: the 168 checks of octonion-f21 pass the
+    # default table, which is well formed by construction
+    reads, read = [], octonion._read_table
+    monkeypatch.setattr(octonion, "_read_table", lambda *a: reads.append(1) or read(*a))
+    assert is_algebra_automorphism(_IDENTITY, cartan_table()) and reads == []
+    assert is_algebra_automorphism(_IDENTITY, cartan_table(qr)) and len(reads) == 1
+
+
+def test_cartan_table_is_the_table_of_basis_products(all_planes):
+    # the table read off the third-point table and the arcs in one pass, on
+    # all 240 labelled orientations, against its definition entry by entry
+    oriented = [o for plane in all_planes for o in all_orientations(plane)]
+    assert len(oriented) == 240
+    for o in oriented:
+        expected = tuple(tuple(basis_product(i, j, o) for j in range(1, 8)) for i in range(1, 8))
+        table = cartan_table(o)
+        assert table == expected
+        assert {type(x) for row in table for entry in row for x in entry} == {int}

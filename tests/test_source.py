@@ -101,11 +101,12 @@ NOT_RUN = {
     "perms.generate_group": "the closure of generators, the oracle for the groups the library builds",
     "perms.group_from_elements": "proves a set closed under composition, the oracle for a group "
                                  "the library lists; the benchmark traces it",
-    "perms._closure": "the closure that generate_group and group_from_elements run",
     "steiner.TripleSystem.block_through": "the benchmark traces it by name",
     "embed.embedding_isomorphisms": "lists every map with its flag, the oracle base group of the "
                                     "colour group; the benchmark traces it by name",
     "embed.rotation_from_cycles": "builds a rotation from literal cycles, for the embedding tests",
+    "octonion.point_to_unit": "basis_product reads it on an orientation, the definition that "
+                              "cartan_table is tested against",
     "embed.RotationSystem.rho_inv": "the benchmark's check of a Reversing classification reads "
                                     "it; the benchmark's relabellings are all Preserving",
 }
