@@ -77,13 +77,15 @@ def _load_json(path: str) -> dict:
 
 
 def _input_from_args(args: argparse.Namespace, kind: str):
-    """The --builtin input, else the file of --design or --rotation, by kind."""
+    """The --builtin input or the file of --design or --rotation, by kind; not both."""
     builtins, reader, errors = INPUTS[kind]
+    path = getattr(args, kind)
+    if args.builtin is not None and path is not None:
+        raise CliError(f"give --builtin or --{kind}, not both", 2)
     if args.builtin:
         if args.builtin not in builtins:
             raise CliError(f"unknown builtin {kind} {args.builtin!r} (try {tuple(builtins)})", 2)
         return builtins[args.builtin]()
-    path = getattr(args, kind)
     if not path:
         raise CliError(f"need --{kind} FILE or --builtin NAME", 2)
     data = _load_json(path)
@@ -279,45 +281,52 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-all", help="run every theorem certificate")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify_all)
 
     p = sub.add_parser("enumerate", help="list mates, orientations, circuits or classes")
     p.add_argument("kind", choices=("mates", "orientations", "circuits", "parallel-classes"))
     p.add_argument("--design", help="design JSON file")
     p.add_argument("--builtin", help=f"builtin design: {', '.join(BUILTIN_DESIGNS)}")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("faces", help="trace faces of a rotation system")
     p.add_argument("--rotation", help="rotation JSON file")
     p.add_argument("--builtin", help="builtin rotation: classical-rotation")
     p.add_argument("--dot", action="store_true", help="also emit DOT output")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_faces)
 
     p = sub.add_parser("classify", help="classify a triangular rotation of K7")
     p.add_argument("--rotation", help="rotation JSON file")
     p.add_argument("--builtin", help="builtin rotation: classical-rotation")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("aut", help="automorphism group of a design")
     p.add_argument("--design", help="design JSON file")
     p.add_argument("--builtin", help=f"builtin design: {', '.join(BUILTIN_DESIGNS)}")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_aut)
 
     p = sub.add_parser("octonion-table", help="print the octonion multiplication table")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_octonion_table)
 
+    for p in sub.choices.values():  # the last option of every subcommand
+        p.add_argument("--format", choices=("text", "json"), default="text")
+    parser.commands = sub.choices  # each subcommand's parser by name, for main
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the command in argv (else sys.argv[1:]); return its exit code.
+    A call that starts with a subcommand is parsed by that subcommand's
+    parser alone, as argparse's subparsers action parses it: the top-level
+    pass would cost about as much again.  That pass runs only on an empty
+    call, one that starts with no subcommand, or one with arguments left
+    over, where it writes argparse's own usage and error."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser, args, extra = build_parser(), None, None
+    if argv and argv[0] in parser.commands:
+        args, extra = parser.commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if args is None or extra:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

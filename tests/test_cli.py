@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -5,15 +6,17 @@ import os
 import re
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from itertools import chain
 from pathlib import Path
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fano21
-from fano21 import certificates, cli, orient, perms, steiner
+from fano21 import certificates, cli, embed, orient, perms, steiner
 from fano21.cli import (AUT_LIST_LIMIT, BUILTIN_DESIGNS, BUILTIN_ROTATIONS, _image_rows, _indented,
                         build_parser, main)
 from fano21.embed import classical_rotation
@@ -335,6 +338,24 @@ def test_missing_file_exits_2(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["aut", "--builtin", "b1", "--design"],
+    ["enumerate", "mates", "--builtin", "b1", "--design"],
+    ["faces", "--builtin", "classical-rotation", "--rotation"],
+    ["classify", "--builtin", "classical-rotation", "--rotation"],
+], ids=["aut", "enumerate", "faces", "classify"])
+@pytest.mark.parametrize("path", ["input.json", ""], ids=["file", "empty-path"])
+def test_a_builtin_with_a_file_exits_2(tmp_path, capsys, argv, path):
+    # both inputs named: the call is refused, not answered from the builtin
+    kind = argv[-1][2:]
+    if path:
+        path = tmp_path / path
+        path.write_text(json.dumps(fano_b1().to_json() if kind == "design"
+                                   else {"n": 7, "rotation": CLASSICAL_CYCLES}))
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out, err) == (2, "", f"error: give --builtin or --{kind}, not both\n")
+
+
 def test_mates_of_sts13_fails_cleanly(capsys):
     code, _, err = run(capsys, "enumerate", "mates", "--builtin", "sts13")
     assert code == 1
@@ -645,6 +666,9 @@ def test_successive_calls_match_fresh_processes(monkeypatch, capsys):
         ["--help"],
         ["aut", "--builtin", "nope"],
         ["enumerate", "circuits", "--builtin", "b1"],
+        ["aut", "--builtin", "b1", "--bogus"],
+        ["aut", "--", "--builtin", "b1"],
+        ["--", "aut", "--builtin", "b1"],
     ]
     for argv in calls:
         try:
@@ -659,6 +683,150 @@ def test_successive_calls_match_fresh_processes(monkeypatch, capsys):
         )
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert build_parser() is build_parser()
+
+
+def _top_level_main(argv=None):
+    """main as it was when one top-level parse_args parsed every call."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except cli.CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (steiner.StsError, orient.OrientationError, orient.CircuitError,
+            embed.RotationError, embed.NotTwoColorable, embed.NotTriangular) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+@contextmanager
+def _recorded_namespaces():
+    """A list to which every command appends the vars of its args, its own
+    function as func, before it runs; the shared parser's defaults are put
+    back after."""
+    seen, commands = [], build_parser().commands
+    funcs = {name: command.get_default("func") for name, command in commands.items()}
+    for name, command in commands.items():
+        command.set_defaults(func=lambda args, func=funcs[name]: seen.append(
+            dict(vars(args), func=func)) or func(args))
+    try:
+        yield seen
+    finally:
+        for name, command in commands.items():
+            command.set_defaults(func=funcs[name])
+
+
+def _outcome(main_function, argv):
+    """(exit code, stdout with timings masked, stderr, the vars of the
+    command's args) of one call at 80 columns; argparse's exits give their
+    SystemExit code and no vars."""
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch.dict(os.environ, COLUMNS="80"), _recorded_namespaces() as seen,
+          redirect_stdout(out), redirect_stderr(err)):
+        try:
+            code = main_function(argv)
+        except SystemExit as exc:
+            code = exc.code
+    text = re.sub(r'\[[0-9.]+s\]|"seconds": [0-9.e-]+', "<seconds>", out.getvalue())
+    return code, text, err.getvalue(), seen
+
+
+COMMANDS = ["verify-all", "enumerate", "faces", "classify", "aut", "octonion-table"]
+
+PARSE_CASES = [
+    [], ["-h"], ["--help"], ["--he"], ["--bogus"], ["bogus"], ["au", "--builtin", "b1"],
+    ["-h", "aut"], ["--", "aut", "--builtin", "b1"], ["--", "--", "aut"],
+    ["aut", "--builtin", "b1"], ["aut", "--builtin=b1"], ["aut", "--buil", "b1"],
+    ["aut", "--builtin", "b1", "--format=json"], ["aut", "--builtin", "b1", "--fo", "json"],
+    ["aut", "--he"], ["aut", "-h", "--bogus"], ["aut", "--des", "no/such.json"],
+    ["aut", "--builtin", "b1", "--"], ["aut", "--", "--builtin", "b1"],
+    ["aut", "--builtin", "--", "b1"], ["aut", "--builtin", "b1", "--bogus"],
+    ["aut", "--builtin", "b1", "extra"], ["aut", "--builtin", "b1", "--format", "xml"],
+    ["aut", "--builtin"], ["aut", "--format"], ["aut"], ["aut", "--builtin", "nope"],
+    ["enumerate"], ["enumerate", "bogus", "--builtin", "b1"], ["enumerate", "--builtin", "b1", "mates"],
+    ["enumerate", "mates", "circuits", "--builtin", "b1"],
+    ["enumerate", "mates", "--builtin", "b1", "--format", "xml"],
+    ["faces", "--builtin", "classical-rotation", "--dot"], ["faces", "--dot=yes"],
+    ["classify", "--rot", "no/such.json", "--format", "json"],
+    ["octonion-table", "--format", "json"], ["octonion-table", "extra"], ["verify-all", "-x"],
+] + [[command, "-h"] for command in COMMANDS]
+
+
+def _call_id(value):
+    return (" ".join(value) or "(empty)") if isinstance(value, list) else None
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=_call_id)
+def test_each_call_parses_as_the_top_level_pass_did(argv):
+    # the exit code, both streams and the command's args, against one
+    # top-level parse_args, as every call once ran
+    assert _outcome(main, argv) == _outcome(_top_level_main, argv)
+
+
+_WORDS = COMMANDS + [
+    "bogus", "au", "mates", "orientations", "circuits", "parallel-classes", "--builtin", "--buil",
+    "--builtin=b1", "--builtin=", "b1", "classical-rotation", "nope", "--design", "--des",
+    "--design=no/such.json", "--rotation", "--rot=no/such.json", "no/such.json", "--format",
+    "--fo", "--format=json", "--format=xml", "json", "text", "xml", "--dot", "--do", "--dot=1",
+    "-h", "--help", "--he", "-x", "--bogus", "--", "-",
+]
+
+
+# parts of valid calls, so that some drawn calls reach their command
+_VALID_PARTS = [["mates"], ["circuits"], ["--builtin", "b1"], ["--buil", "b1"], ["--builtin=b1"],
+                ["--builtin", "classical-rotation"], ["--format", "json"], ["--fo", "text"],
+                ["--format=json"], ["--dot"], ["--"]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=st.lists(st.sampled_from(_WORDS), max_size=6)
+       | st.tuples(st.sampled_from(COMMANDS), st.lists(st.sampled_from(_WORDS), max_size=5))
+       .map(lambda call: [call[0], *call[1]])
+       | st.tuples(st.sampled_from(COMMANDS), st.lists(st.sampled_from(_VALID_PARTS), max_size=3))
+       .map(lambda call: [call[0], *chain.from_iterable(call[1])]))
+def test_fuzzed_calls_parse_as_the_top_level_pass_did(argv):
+    assert _outcome(main, argv) == _outcome(_top_level_main, argv)
+
+
+@pytest.fixture
+def top_level_passes(monkeypatch):
+    """The calls of the shared top-level parser's parse_known_args so far."""
+    top, passes = build_parser(), []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(parser, *args, **kwargs):
+        if parser is top:
+            passes.append(args)
+        return parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    return passes
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["verify-all", "--format", "json"], 0),
+    (["enumerate", "circuits", "--builtin", "b1"], 0),
+    (["faces", "--builtin", "classical-rotation"], 0),
+    (["classify", "--builtin", "classical-rotation"], 0),
+    (["aut", "--builtin", "b1", "--format", "json"], 0),
+    (["octonion-table"], 0),
+    (["--help"], 1),
+    (["bogus"], 1),
+    (["aut", "--builtin", "b1", "--bogus"], 1),
+], ids=_call_id)
+def test_only_a_call_argparse_must_answer_runs_the_top_level_pass(top_level_passes, capsys,
+                                                                   argv, count):
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    assert len(top_level_passes) == count
+
+
+def test_a_call_read_from_sys_argv_runs_no_top_level_pass(top_level_passes, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["fano21", "aut", "--builtin", "b1"])
+    assert main() == 0 and top_level_passes == []
+    assert capsys.readouterr().out.startswith("order: 168\n")
 
 
 def _any_json(keys):
